@@ -13,10 +13,8 @@
 //! `Accept: text/plain`), and the job turnaround delta between span-on
 //! (default) and span-off (`"spans": false`) submissions.
 //!
-//! A `fleet` ledger closes the run: the same campaign through a coordinator
-//! backed by 1, 2, and 3 daemons total (0–2 loopback peers), plus the
-//! content-addressed cache — one miss that executes, then repeated
-//! identical submissions answered from storage (`cache_hit` quantiles).
+//! A `cache_hit` ledger closes the run: one content-addressed cache miss
+//! that executes, then repeated identical submissions answered from storage.
 //!
 //! ```text
 //! serve_bench [--jobs N] [--levels 1,4,8] [--workers N] [--out PATH]
@@ -266,57 +264,6 @@ fn main() {
     eprintln!("span-on vs span-off turnaround (p50): {span_delta_pct:+.2}%");
     handle.shutdown();
 
-    // Fleet ledger: the same campaign submitted to a coordinator over 0, 1,
-    // and 2 loopback peer daemons (1/2/3 daemons total). Sequential single
-    // client — the fleet parallelism under test is *inside* each campaign.
-    let fleet_jobs = jobs_per_level.clamp(4, 8);
-    let mut fleet_docs = Vec::new();
-    for extra_peers in 0..3usize {
-        let peers: Vec<_> = (0..extra_peers)
-            .map(|_| {
-                Server::bind(ServerConfig {
-                    workers,
-                    ..ServerConfig::default()
-                })
-                .expect("bind peer")
-                .spawn()
-                .expect("spawn peer")
-            })
-            .collect();
-        let coord = Server::bind(ServerConfig {
-            workers,
-            queue_capacity: fleet_jobs.max(4),
-            peers: peers.iter().map(|p| p.addr().to_string()).collect(),
-            ..ServerConfig::default()
-        })
-        .expect("bind coordinator")
-        .spawn()
-        .expect("spawn coordinator");
-        let caddr = coord.addr();
-        let t0 = Instant::now();
-        let turnarounds: Vec<u64> = (0..fleet_jobs)
-            .map(|_| run_job(caddr).turnaround_ns)
-            .collect();
-        let wall = t0.elapsed();
-        let throughput = fleet_jobs as f64 / wall.as_secs_f64();
-        eprintln!(
-            "fleet {} daemon(s): {fleet_jobs} jobs in {:.2}s = {throughput:.2} jobs/s",
-            extra_peers + 1,
-            wall.as_secs_f64()
-        );
-        fleet_docs.push(Json::obj([
-            ("daemons", Json::uint(extra_peers as u64 + 1)),
-            ("jobs", Json::uint(fleet_jobs as u64)),
-            ("wall_s", Json::Num(wall.as_secs_f64())),
-            ("throughput_jobs_per_s", Json::Num(throughput)),
-            ("turnaround", quantiles_ms(turnarounds)),
-        ]));
-        coord.shutdown();
-        for p in peers {
-            p.shutdown();
-        }
-    }
-
     // Cache-hit latency: one executed miss warms the store, then identical
     // submissions are answered without re-execution.
     let cache_daemon = Server::bind(ServerConfig {
@@ -363,15 +310,8 @@ fn main() {
             ]),
         ),
         (
-            "fleet",
-            Json::obj([
-                ("jobs_per_size", Json::uint(fleet_jobs as u64)),
-                ("sizes", Json::Arr(fleet_docs)),
-                (
-                    "cache_hit",
-                    Json::obj([("hits", Json::uint(30)), ("submit", cache_hit)]),
-                ),
-            ]),
+            "cache_hit",
+            Json::obj([("hits", Json::uint(30)), ("submit", cache_hit)]),
         ),
     ]);
     let rendered = format!("{doc}\n");

@@ -3,20 +3,18 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7070] [--workers N] [--queue N]
 //!       [--state-dir DIR] [--max-body BYTES] [--read-timeout-ms MS]
-//!       [--peer HOST:PORT]... [--peers-file FILE] [--client-quota N]
-//!       [--cache-entries N] [--cache-bytes BYTES]
+//!       [--client-quota N] [--cache-entries N] [--cache-bytes BYTES]
 //! ```
 //!
-//! Any `--peer` (repeatable) or `--peers-file` (one `host:port` per line,
-//! `#` comments) makes this daemon a fleet coordinator: submissions are
-//! split across the peers and merged back byte-identically (DESIGN §18).
 //! `--client-quota N` caps concurrent non-terminal jobs per `client` value.
+//! Every flag takes a value; anything else is refused with the usage text.
+//! To split one campaign across machines, submit its shards to independent
+//! daemons and merge their journals (DESIGN §18).
 //!
 //! SIGINT/SIGTERM drain in-flight jobs and flush journals before exit;
 //! queued-but-unstarted jobs are canceled (and, with `--state-dir`,
 //! re-queued by the next start).
 
-use hauberk_serve::fleet::{parse_peers_file, validate_peer};
 use hauberk_serve::{Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -55,41 +53,23 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] \
          [--state-dir DIR] [--max-body BYTES] [--read-timeout-ms MS] \
-         [--peer HOST:PORT]... [--peers-file FILE] [--client-quota N] \
-         [--cache-entries N] [--cache-bytes BYTES]"
+         [--client-quota N] [--cache-entries N] [--cache-bytes BYTES]"
     );
     std::process::exit(2);
 }
 
-/// Every `--peer` value plus the `--peers-file` contents, validated.
-fn peer_args(args: &[String]) -> Vec<String> {
-    let mut peers = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--peer" {
-            let Some(v) = args.get(i + 1) else {
-                eprintln!("serve: --peer needs a HOST:PORT value");
-                usage()
-            };
-            match validate_peer(v) {
-                Ok(p) => peers.push(p),
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    usage()
-                }
-            }
-        }
-    }
-    if let Some(path) = arg_value(args, "--peers-file") {
-        match parse_peers_file(std::path::Path::new(&path)) {
-            Ok(mut p) => peers.append(&mut p),
-            Err(e) => {
-                eprintln!("serve: {e}");
-                usage()
-            }
-        }
-    }
-    peers
-}
+/// Every flag the daemon understands; each takes exactly one value.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--queue",
+    "--state-dir",
+    "--max-body",
+    "--read-timeout-ms",
+    "--client-quota",
+    "--cache-entries",
+    "--cache-bytes",
+];
 
 fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match arg_value(args, name) {
@@ -106,6 +86,13 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
+    if let Some(pair) = args
+        .chunks(2)
+        .find(|p| p.len() < 2 || !FLAGS.contains(&p[0].as_str()))
+    {
+        eprintln!("serve: unknown flag or missing value: `{}`", pair[0]);
+        usage();
+    }
     let mut cfg = ServerConfig {
         addr: arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string()),
         ..ServerConfig::default()
@@ -119,17 +106,9 @@ fn main() {
         cfg.read_timeout.as_millis() as u64,
     ));
     cfg.state_dir = arg_value(&args, "--state-dir").map(Into::into);
-    cfg.peers = peer_args(&args);
     cfg.client_quota = parsed(&args, "--client-quota", cfg.client_quota);
     cfg.cache_max_entries = parsed(&args, "--cache-entries", cfg.cache_max_entries);
     cfg.cache_max_bytes = parsed(&args, "--cache-bytes", cfg.cache_max_bytes);
-    if !cfg.peers.is_empty() {
-        eprintln!(
-            "serve: fleet coordinator over {} peer(s): {}",
-            cfg.peers.len(),
-            cfg.peers.join(", ")
-        );
-    }
 
     install_signal_handlers();
     let server = match Server::bind(cfg) {

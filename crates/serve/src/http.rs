@@ -236,7 +236,7 @@ pub fn write_response(
     stream.flush()
 }
 
-/// One parsed response, as read by the fleet dispatch client.
+/// One parsed response, as read by [`client_call`].
 #[derive(Debug, Clone)]
 pub struct ClientResponse {
     /// Status code.
@@ -248,16 +248,7 @@ pub struct ClientResponse {
 }
 
 impl ClientResponse {
-    /// First header value by (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Body as UTF-8 (lossy — a hostile peer cannot poison the coordinator
+    /// Body as UTF-8 (lossy — a hostile server cannot poison the caller
     /// with invalid bytes, only with wrong text, which the JSON layer then
     /// rejects).
     pub fn text(&self) -> String {
@@ -265,13 +256,13 @@ impl ClientResponse {
     }
 }
 
-/// Issue one request to a peer daemon and read the complete `Connection:
-/// close` response. This is the coordinator's half of the wire protocol:
-/// like the server side it is hand-rolled on `std::net` (offline workspace)
-/// and defensive — the peer's response is read under `timeout` per socket
-/// read and de-chunked tolerantly (a truncated chunked stream yields the
-/// bytes that did arrive, which is the honest signal for a peer that died
-/// mid-stream).
+/// Issue one request to a daemon and read the complete `Connection:
+/// close` response — the blocking client that tools and benchmarks drive
+/// the daemon with. Like the server side it is hand-rolled on `std::net`
+/// (offline workspace) and defensive: the response is read under `timeout`
+/// per socket read and de-chunked tolerantly (a truncated chunked stream
+/// yields the bytes that did arrive, which is the honest signal for a
+/// daemon that died mid-stream).
 pub fn client_call(
     addr: &str,
     method: &str,

@@ -126,9 +126,10 @@ pub struct JobSpec {
     /// either way; ineligible campaigns fall back to full re-execution.
     pub checkpoint: bool,
     /// `(index, modulus)`: execute only the strata this shard owns (the
-    /// orchestrator's round-robin partition). The fleet coordinator sets
-    /// this on the shard jobs it dispatches to worker daemons; a client may
-    /// also shard by hand across independent daemons.
+    /// orchestrator's round-robin partition). Submitting shards `0..M` of
+    /// one spec to independent daemons with a `state_dir` and merging their
+    /// persisted journals with `merge_journals` reproduces the unsharded
+    /// run byte-for-byte (`DESIGN.md` §18).
     pub shard: Option<(u32, u32)>,
     /// Queue priority lane (default [`Priority::Normal`]).
     pub priority: Priority,
@@ -136,12 +137,6 @@ pub struct JobSpec {
     /// most N non-terminal jobs per `client` value are admitted at once
     /// (anonymous submissions share one bucket).
     pub client: Option<String>,
-    /// Push the finished orchestrator journal into the job's event log, one
-    /// `{"ev":"journal","line":…}` event per record (default `false`). The
-    /// fleet coordinator sets this on shard jobs so worker journals stream
-    /// back over the existing `/events` endpoint — no extra transfer
-    /// endpoint to secure or cache.
-    pub emit_journal: bool,
     /// Selective detector placement for coverage campaigns: the
     /// `selection` object of a [`mod@hauberk_swifi::harden`] plan. `None`
     /// (the default) keeps the classic protect-everything build; a
@@ -179,7 +174,6 @@ impl Default for JobSpec {
             shard: None,
             priority: Priority::Normal,
             client: None,
-            emit_journal: false,
             hardening: None,
             cache: false,
         }
@@ -224,7 +218,6 @@ impl JobSpec {
             "shard",
             "priority",
             "client",
-            "emit_journal",
             "hardening",
             "cache",
         ];
@@ -307,9 +300,6 @@ impl JobSpec {
                 return Err("`client` must be 1..=64 printable ASCII characters".to_string());
             }
             spec.client = Some(c.to_string());
-        }
-        if let Some(v) = map.get("emit_journal") {
-            spec.emit_journal = v.as_bool().ok_or("`emit_journal` must be a boolean")?;
         }
         if let Some(v) = map.get("hardening") {
             spec.hardening = Some(HardeningSelection::from_json(v).ok_or(
@@ -473,9 +463,6 @@ impl JobSpec {
         if let Some(c) = &self.client {
             pairs.push(("client", Json::str(c.clone())));
         }
-        if self.emit_journal {
-            pairs.push(("emit_journal", Json::Bool(true)));
-        }
         if let Some(sel) = &self.hardening {
             pairs.push(("hardening", sel.to_json()));
         }
@@ -525,18 +512,11 @@ impl JobSpec {
     /// JSON form with the observational fields stripped. Two specs share a
     /// key exactly when they produce byte-identical result documents, so the
     /// key set excludes everything that only shapes scheduling or telemetry
-    /// (`trace`, `spans`, `priority`, `client`, `emit_journal`, `cache`) and
-    /// includes everything result-affecting (program, kind, seed, sizing,
-    /// engine, checkpoint, shard, ...).
+    /// (`trace`, `spans`, `priority`, `client`, `cache`) and includes
+    /// everything result-affecting (program, kind, seed, sizing, engine,
+    /// checkpoint, shard, hardening, ...).
     pub fn cache_key(&self) -> String {
-        const OBSERVATIONAL: &[&str] = &[
-            "trace",
-            "spans",
-            "priority",
-            "client",
-            "emit_journal",
-            "cache",
-        ];
+        const OBSERVATIONAL: &[&str] = &["trace", "spans", "priority", "client", "cache"];
         let mut doc = self.to_json();
         if let Json::Obj(map) = &mut doc {
             map.retain(|k, _| !OBSERVATIONAL.contains(&k.as_str()));
@@ -582,17 +562,6 @@ impl JobSpec {
             hardening: self.hardening.clone(),
             ..Default::default()
         }
-    }
-
-    /// Upper bound on the injections this spec plans: `vars × masks`
-    /// variable experiments plus the 6% scheduler and 6% register-file
-    /// riders [`Self::campaign_config`] adds on top. The real plan can only
-    /// be smaller (kernels with fewer variables than `vars`), so the fleet
-    /// coordinator uses this as its shard-sizing hint without having to
-    /// profile the program first.
-    pub fn planned_units_hint(&self) -> u64 {
-        let base = (self.vars as u64).saturating_mul(self.masks as u64);
-        base.saturating_mul(1000 + 60 + 60) / 1000
     }
 
     /// The orchestrator knobs this spec maps to (journal paths are the
@@ -644,8 +613,8 @@ impl JobPhase {
         matches!(self, JobPhase::Done | JobPhase::Failed | JobPhase::Canceled)
     }
 
-    /// Inverse of [`JobPhase::label`] (used by the fleet coordinator to
-    /// interpret worker status documents).
+    /// Inverse of [`JobPhase::label`] (parses the status long-poll's
+    /// `?watch=<state>`).
     pub fn parse_label(s: &str) -> Option<JobPhase> {
         match s {
             "queued" => Some(JobPhase::Queued),
@@ -819,14 +788,6 @@ impl Job {
     /// every later [`Job::request_stop`].
     pub fn stop_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)
-    }
-
-    /// Push one raw orchestrator-journal line into the event log as a
-    /// `{"ev":"journal","line":…}` event — the `emit_journal` transport a
-    /// fleet coordinator reads shard journals back through.
-    pub fn push_journal_line(&self, line: &str) {
-        let ev = Json::obj([("ev", Json::str("journal")), ("line", Json::str(line))]);
-        self.push_line(ev.to_string());
     }
 
     fn push_lifecycle(&self, state: &str) {
@@ -1005,24 +966,24 @@ mod tests {
     }
 
     #[test]
-    fn fleet_fields_parse_validate_and_round_trip() {
+    fn shard_and_scheduling_fields_parse_validate_and_round_trip() {
         let doc = parse(
             r#"{"program":"CP","shard":{"index":1,"modulus":3},"priority":"high",
-                "client":"ci-bot","emit_journal":true,"cache":true}"#,
+                "client":"ci-bot","cache":true}"#,
         )
         .unwrap();
         let spec = JobSpec::from_json(&doc).unwrap();
         assert_eq!(spec.shard, Some((1, 3)));
         assert_eq!(spec.priority, Priority::High);
         assert_eq!(spec.client.as_deref(), Some("ci-bot"));
-        assert!(spec.emit_journal && spec.cache);
+        assert!(spec.cache);
         assert_eq!(spec.orchestrator_config().shard, Some((1, 3)));
         let back = JobSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back.to_json(), spec.to_json());
         // Defaults stay off the wire.
         let plain = JobSpec::from_json(&parse(r#"{"program":"CP"}"#).unwrap()).unwrap();
         let s = plain.to_json().to_string();
-        for absent in ["shard", "priority", "client", "emit_journal", "cache"] {
+        for absent in ["shard", "priority", "client", "cache"] {
             assert!(
                 !s.contains(&format!("\"{absent}\":")),
                 "default `{absent}` must not serialize"
@@ -1085,7 +1046,7 @@ mod tests {
         let dressed = JobSpec::from_json(
             &parse(
                 r#"{"program":"CP","seed":9,"trace":"ht-1","spans":false,
-                    "priority":"low","client":"alice","emit_journal":true,"cache":true}"#,
+                    "priority":"low","client":"alice","cache":true}"#,
             )
             .unwrap(),
         )

@@ -18,10 +18,9 @@
 //!   journal keeps what already ran.
 //! * `GET /metrics`, `GET /healthz` — operational surface.
 //!
-//! A daemon started with `--peer` flags is a fleet *coordinator* ([`fleet`]):
-//! one submission is split into per-daemon shard jobs, the shard journals
-//! stream back over `/events`, and the merged result is byte-identical to a
-//! single-daemon run — see `DESIGN.md` §18.
+//! One daemon runs on one machine. To split a campaign across machines,
+//! submit its `"shard"` jobs to independent daemons with a state directory
+//! and merge their persisted journals — see `DESIGN.md` §18.
 //!
 //! The workspace is offline, so the HTTP layer ([`http`]) is hand-rolled on
 //! `std::net` with explicit limits everywhere: head/body caps, read/write
@@ -30,11 +29,9 @@
 //! daemon produces a summary byte-identical to the same campaign run
 //! in-process — see `DESIGN.md` §14.
 
-pub mod fleet;
 pub mod http;
 pub mod jobs;
 pub mod server;
 
-pub use fleet::{parse_peers_file, run_fleet_campaign, FleetEnv};
 pub use jobs::{Job, JobPhase, JobSpec, Priority, ProgramSpec};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -13,7 +13,6 @@
 //! a restarted daemon serves finished results immediately and resumes
 //! interrupted jobs from their journals.
 
-use crate::fleet::{run_fleet_campaign, FleetEnv};
 use crate::http::{self, ChunkedWriter, Limits, RecvError, Request};
 use crate::jobs::{Job, JobEventSink, JobPhase, JobSpec};
 use hauberk_swifi::orchestrator::{run_orchestrated_campaign_traced, CANCELED};
@@ -51,10 +50,6 @@ pub struct ServerConfig {
     /// Start with the worker pool paused (tests use this to fill the queue
     /// deterministically); release with [`ServerHandle::resume`].
     pub start_paused: bool,
-    /// Peer daemon addresses. Non-empty makes this daemon a fleet
-    /// coordinator: plain submissions are split into `peers + 1` shard jobs
-    /// and dispatched (see [`crate::fleet`]).
-    pub peers: Vec<String>,
     /// Per-client admission cap: at most this many non-terminal jobs per
     /// `client` value at once (`0` = unlimited). Anonymous submissions
     /// share one bucket.
@@ -81,7 +76,6 @@ impl Default for ServerConfig {
             state_dir: None,
             retry_after_secs: 2,
             start_paused: false,
-            peers: Vec::new(),
             client_quota: 0,
             cache_max_entries: 256,
             cache_max_bytes: 16 << 20,
@@ -226,19 +220,7 @@ struct Inner {
     /// Content-addressed result cache: [`JobSpec::cache_key`] → the exact
     /// result bytes. Only `"cache": true` submissions read or write it.
     cache: Mutex<ResultCache>,
-    /// Max `Retry-After` seconds seen from backpressuring workers; folded
-    /// into this daemon's own 429s so the advertised horizon is coherent
-    /// across the fleet.
-    worker_retry_after: AtomicU64,
-    /// Process-wide daemon ordinal. Job ids restart at `cj-1` per daemon,
-    /// so anything keyed on (pid, job id) — the temp journal paths — must
-    /// also mix this in when several daemons share one process (tests,
-    /// loopback fleets).
-    instance: u64,
 }
-
-/// Source of [`Inner::instance`].
-static INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 impl Inner {
     fn job(&self, id: &str) -> Option<Arc<Job>> {
@@ -301,14 +283,6 @@ impl Inner {
         self.work.notify_all();
     }
 
-    /// The `Retry-After` this daemon advertises on 429: never shorter than
-    /// what its own workers last advertised to it (fleet coherence).
-    fn retry_after(&self) -> u64 {
-        self.cfg
-            .retry_after_secs
-            .max(self.worker_retry_after.load(Ordering::SeqCst))
-    }
-
     /// Worker loop: pop → run → record, until shutdown drains the queue.
     /// A job canceled while still queued is skipped here, not executed.
     fn worker_loop(&self) {
@@ -342,9 +316,7 @@ impl Inner {
 
     /// Execute one campaign. Panics inside the campaign (hostile kernel,
     /// simulator divergence past the retry budget) are caught here so the
-    /// worker — and the daemon — outlive the job. A coordinator daemon
-    /// (non-empty `peers`) runs un-sharded submissions through the fleet
-    /// fabric instead of its own orchestrator.
+    /// worker — and the daemon — outlive the job.
     fn run_job(&self, job: &Arc<Job>) {
         if job.stop_requested() {
             // DELETE raced the worker pop: honor it without starting.
@@ -355,70 +327,23 @@ impl Inner {
         job.start();
         self.metrics.incr("jobs_started", 1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if !self.cfg.peers.is_empty() && job.spec.shard.is_none() {
-                let scratch = self.state_path(&job.id, "fleet").unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!(
-                        "hauberk-fleet-{}-{}-{}",
-                        std::process::id(),
-                        self.instance,
-                        job.id
-                    ))
-                });
-                return run_fleet_campaign(
-                    job,
-                    &FleetEnv {
-                        peers: &self.cfg.peers,
-                        scratch,
-                        metrics: &self.metrics,
-                        worker_retry_after: &self.worker_retry_after,
-                        http_timeout: self.cfg.read_timeout.max(Duration::from_secs(2)),
-                    },
-                );
-            }
-            // `emit_journal` needs a journal file even on a stateless
-            // daemon; a temp path (cleaned up below) serves the transport.
-            let journal = self.state_path(&job.id, "journal.jsonl").or_else(|| {
-                job.spec.emit_journal.then(|| {
-                    std::env::temp_dir().join(format!(
-                        "hauberk-{}-{}-{}.journal.jsonl",
-                        std::process::id(),
-                        self.instance,
-                        job.id
-                    ))
-                })
-            });
+            let journal = self.state_path(&job.id, "journal.jsonl");
             let tele =
                 Telemetry::new(Arc::new(JobEventSink::new(job.clone()))).with_spans(job.spec.spans);
             let prog = job.spec.build_program()?;
             let cfg = job.spec.campaign_config();
             let mut orch = job.spec.orchestrator_config();
-            orch.journal_path = journal.clone();
             orch.resume_from = journal.clone().filter(|p| p.exists());
+            orch.journal_path = journal;
             orch.stop = Some(job.stop_flag());
-            let summary = run_orchestrated_campaign_traced(
+            run_orchestrated_campaign_traced(
                 prog.as_ref(),
                 job.spec.campaign_kind(),
                 &cfg,
                 &orch,
                 tele,
             )
-            .map(|res| res.summary_json().to_string())?;
-            // Journal transport: push the finished journal into the event
-            // log *before* the job turns terminal, so a coordinator that
-            // sees "done" is guaranteed the complete stream.
-            if job.spec.emit_journal {
-                if let Some(path) = &journal {
-                    if let Ok(raw) = std::fs::read_to_string(path) {
-                        for line in raw.lines().filter(|l| !l.trim().is_empty()) {
-                            job.push_journal_line(line);
-                        }
-                    }
-                    if self.cfg.state_dir.is_none() {
-                        let _ = std::fs::remove_file(path);
-                    }
-                }
-            }
-            Ok(summary)
+            .map(|res| res.summary_json().to_string())
         }));
         match outcome {
             Ok(Ok(summary)) => {
@@ -547,8 +472,6 @@ impl Server {
                 .unwrap_or(0)
                 ^ (std::process::id() as u64) << 32,
             cache: Mutex::new(ResultCache::default()),
-            worker_retry_after: AtomicU64::new(0),
-            instance: INSTANCES.fetch_add(1, Ordering::SeqCst),
         });
         recover_state(&inner);
         Ok(Server { listener, inner })
@@ -861,7 +784,6 @@ fn handle_healthz(stream: &mut TcpStream, inner: &Arc<Inner>, trace: &str) {
             "queue_capacity",
             Json::uint(inner.cfg.queue_capacity as u64),
         ),
-        ("peers", Json::uint(inner.cfg.peers.len() as u64)),
     ]);
     let _ = http::write_response(
         stream,
@@ -904,7 +826,7 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
 
     // Content-addressed cache: an identical opted-in spec already ran, so
     // answer with the stored bytes as an instantly-done job — no queue slot,
-    // no execution. Soundness rests on campaign determinism (DESIGN §18).
+    // no execution. Soundness rests on campaign determinism (DESIGN §14).
     if spec.cache {
         let key = spec.cache_key();
         // `get` refreshes the entry's LRU stamp, keeping hot entries alive
@@ -961,7 +883,7 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
                 429,
                 "application/json",
                 &[
-                    ("Retry-After", inner.retry_after().to_string()),
+                    ("Retry-After", inner.cfg.retry_after_secs.to_string()),
                     trace_header(trace),
                 ],
                 doc.to_string().as_bytes(),
@@ -977,7 +899,7 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
         if q.len() >= inner.cfg.queue_capacity {
             inner.metrics.incr("submit_backpressured", 1);
             drop(q);
-            let retry = inner.retry_after().to_string();
+            let retry = inner.cfg.retry_after_secs.to_string();
             let doc = Json::obj([("error", Json::str("job queue is full; retry later"))]);
             let _ = http::write_response(
                 stream,
@@ -1198,8 +1120,6 @@ fn handle_metrics(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, tra
             inner.started.elapsed().as_secs_f64(),
         );
         snap.gauges
-            .insert("fleet_peers".to_string(), inner.cfg.peers.len() as f64);
-        snap.gauges
             .insert("cache_entries".to_string(), cache_entries as f64);
         snap.gauges
             .insert("cache_bytes".to_string(), cache_bytes as f64);
@@ -1225,7 +1145,6 @@ fn handle_metrics(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, tra
             "queue_capacity",
             Json::uint(inner.cfg.queue_capacity as u64),
         ),
-        ("fleet_peers", Json::uint(inner.cfg.peers.len() as u64)),
         ("cache_entries", Json::uint(cache_entries)),
         ("cache_bytes", Json::uint(cache_bytes)),
         (

@@ -2,13 +2,17 @@
 //!
 //! Each test binds a real [`Server`] on an ephemeral port and drives it with
 //! raw HTTP over `TcpStream` — no client library, so the bytes on the wire
-//! are exactly what an external tool would send. Covered here, per the
-//! acceptance criteria: result byte-identity against an in-process run,
-//! deterministic 429 backpressure, 400/413/timeout hostile-input handling,
-//! a genuinely panicking job, and state-directory recovery across restarts.
+//! are exactly what an external tool would send. Covered here: result
+//! byte-identity against an in-process run, hand sharding across two
+//! daemons merged byte-identically, the result cache, cancellation with
+//! `Cache-Control: no-store`, status long-polling, priority lanes, client
+//! quotas, deterministic 429 backpressure, 400/413/timeout hostile-input
+//! handling, a genuinely panicking job, state-directory recovery across
+//! restarts, and the `serve` binary refusing unknown flags.
 
 use hauberk_serve::jobs::JobSpec;
 use hauberk_serve::{Server, ServerConfig, ServerHandle};
+use hauberk_swifi::journal::merge_journals;
 use hauberk_swifi::orchestrator::run_orchestrated_campaign;
 use hauberk_telemetry::json::parse;
 use std::io::{Read, Write};
@@ -130,6 +134,13 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> Response {
     )
 }
 
+fn delete(addr: SocketAddr, path: &str) -> Response {
+    raw_request(
+        addr,
+        format!("DELETE {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
+    )
+}
+
 fn spawn(cfg: ServerConfig) -> (ServerHandle, SocketAddr) {
     let handle = Server::bind(cfg).unwrap().spawn().unwrap();
     let addr = handle.addr();
@@ -149,6 +160,34 @@ fn wait_terminal(addr: SocketAddr, id: &str) -> String {
         assert!(Instant::now() < deadline, "job {id} stuck: {}", st.body);
         std::thread::sleep(Duration::from_millis(25));
     }
+}
+
+/// The same spec run in-process: the byte-identity reference.
+fn in_process_summary(spec_json: &str) -> String {
+    let spec = JobSpec::from_json(&parse(spec_json).unwrap()).unwrap();
+    let prog = spec.build_program().unwrap();
+    run_orchestrated_campaign(
+        prog.as_ref(),
+        spec.campaign_kind(),
+        &spec.campaign_config(),
+        &spec.orchestrator_config(),
+    )
+    .unwrap()
+    .summary_json()
+    .to_string()
+}
+
+/// Read one metric counter out of a daemon's JSON `/metrics` document.
+fn metric(addr: SocketAddr, name: &str) -> u64 {
+    let m = get(addr, "/metrics");
+    assert_eq!(m.status, 200);
+    parse(&m.body)
+        .unwrap()
+        .get("metrics")
+        .and_then(|ms| ms.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(|v| v.as_u64())
+        .unwrap_or(0)
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -174,16 +213,7 @@ fn submitted_campaign_matches_in_process_run_byte_for_byte() {
     // The same spec, run in-process through the same orchestrator entry
     // point, must serialize to the identical bytes: the daemon adds
     // observation, never perturbation.
-    let spec = JobSpec::from_json(&parse(SMALL_CAMPAIGN).unwrap()).unwrap();
-    let prog = spec.build_program().unwrap();
-    let local = run_orchestrated_campaign(
-        prog.as_ref(),
-        spec.campaign_kind(),
-        &spec.campaign_config(),
-        &spec.orchestrator_config(),
-    )
-    .unwrap();
-    assert_eq!(res.body, local.summary_json().to_string());
+    assert_eq!(res.body, in_process_summary(SMALL_CAMPAIGN));
 
     // The event stream replays the whole campaign log and terminates.
     let ev = get(addr, &format!("/v1/campaigns/{id}/events"));
@@ -589,4 +619,285 @@ fn state_dir_recovers_results_and_requeues_unstarted_jobs() {
     );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hand_sharded_daemons_merge_byte_identically() {
+    // Two independent daemons, each with its own state directory, run one
+    // half of the campaign's strata. Merging their persisted journals and
+    // resume-replaying the merge under the unsharded spec must reproduce
+    // the single-run bytes without executing a single injection again.
+    let dirs = [tmp_dir("shard0"), tmp_dir("shard1")];
+    let mut journals = Vec::new();
+    for (index, dir) in dirs.iter().enumerate() {
+        let (handle, addr) = spawn(ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        });
+        let body = SMALL_CAMPAIGN.replace(
+            "}",
+            &format!(r#","shard":{{"index":{index},"modulus":2}}}}"#),
+        );
+        let sub = post(addr, "/v1/campaigns", &body);
+        assert_eq!(sub.status, 201, "{}", sub.body);
+        let id = sub.json_field("id");
+        assert_eq!(wait_terminal(addr, &id), "done");
+        handle.shutdown();
+        let journal = dir.join(format!("{id}.journal.jsonl"));
+        assert!(journal.exists(), "shard {index} journal persisted");
+        journals.push(journal);
+    }
+
+    let merged = dirs[0].join("merged.jsonl");
+    let units = merge_journals(&merged, &journals).unwrap();
+    assert!(units > 0, "the shards recorded work units");
+    let spec = JobSpec::from_json(&parse(SMALL_CAMPAIGN).unwrap()).unwrap();
+    let prog = spec.build_program().unwrap();
+    let mut orch = spec.orchestrator_config();
+    orch.journal_path = Some(merged.clone());
+    orch.resume_from = Some(merged);
+    let replayed = run_orchestrated_campaign(
+        prog.as_ref(),
+        spec.campaign_kind(),
+        &spec.campaign_config(),
+        &orch,
+    )
+    .unwrap();
+    assert_eq!(
+        replayed.executed, replayed.resumed_injections,
+        "the merged journal covers every planned injection"
+    );
+    assert_eq!(
+        replayed.summary_json().to_string(),
+        in_process_summary(SMALL_CAMPAIGN),
+        "merged shards must reproduce the unsharded bytes"
+    );
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn cache_answers_identical_resubmits_without_rerun() {
+    let (handle, addr) = spawn(ServerConfig::default());
+    let cached_spec = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"cache":true}"#;
+    let sub = post(addr, "/v1/campaigns", cached_spec);
+    assert_eq!(sub.status, 201, "{}", sub.body);
+    let id = sub.json_field("id");
+    assert_eq!(wait_terminal(addr, &id), "done");
+    let res = get(addr, &format!("/v1/campaigns/{id}/result"));
+    assert_eq!(res.status, 200, "{}", res.body);
+    assert_eq!(res.body, in_process_summary(SMALL_CAMPAIGN));
+    assert_eq!(metric(addr, "jobs_done"), 1);
+
+    // Identical resubmission: answered from the content-addressed cache —
+    // instantly done, marked `cached`, no new work.
+    let hit = post(addr, "/v1/campaigns", cached_spec);
+    assert_eq!(hit.status, 201, "{}", hit.body);
+    assert_eq!(hit.json_field("state"), "done");
+    assert!(hit.body.contains("\"cached\":true"), "{}", hit.body);
+    let hit_id = hit.json_field("id");
+    let hit_res = get(addr, &format!("/v1/campaigns/{hit_id}/result"));
+    assert_eq!(hit_res.body, res.body, "cache serves the stored bytes");
+    assert_eq!(metric(addr, "cache_hits"), 1);
+    assert_eq!(metric(addr, "jobs_done"), 1, "no re-execution");
+
+    // A spec differing only in observational fields still hits.
+    let dressed = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"cache":true,
+                      "priority":"low","client":"alice"}"#;
+    let hit2 = post(addr, "/v1/campaigns", dressed);
+    assert_eq!(hit2.status, 201, "{}", hit2.body);
+    assert!(hit2.body.contains("\"cached\":true"), "{}", hit2.body);
+    assert_eq!(metric(addr, "jobs_done"), 1, "no re-execution");
+
+    handle.shutdown();
+}
+
+#[test]
+fn delete_cancels_with_no_store_and_the_worker_skips_the_corpse() {
+    let (handle, addr) = spawn(ServerConfig {
+        start_paused: true,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    let sub = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    assert_eq!(sub.status, 201, "{}", sub.body);
+    let id = sub.json_field("id");
+
+    // Queued job: DELETE cancels immediately with 202 + no-store.
+    let del = delete(addr, &format!("/v1/campaigns/{id}"));
+    assert_eq!(del.status, 202, "{}", del.body);
+    assert_eq!(del.header("cache-control"), Some("no-store"));
+    assert_eq!(del.json_field("state"), "canceled");
+
+    // A second DELETE is idempotent: 200, still no-store.
+    let again = delete(addr, &format!("/v1/campaigns/{id}"));
+    assert_eq!(again.status, 200, "{}", again.body);
+    assert_eq!(again.header("cache-control"), Some("no-store"));
+
+    // DELETE on a missing id is a 404; on /healthz still 405.
+    assert_eq!(delete(addr, "/v1/campaigns/cj-999").status, 404);
+    assert_eq!(delete(addr, "/healthz").status, 405);
+
+    // The canceled job must not be executed: resume the pool, run another
+    // job to completion, and check exactly one job ever ran.
+    handle.resume();
+    let sub2 = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    let id2 = sub2.json_field("id");
+    assert_eq!(wait_terminal(addr, &id2), "done");
+    assert_eq!(metric(addr, "jobs_started"), 1, "corpse was skipped");
+    assert_eq!(wait_terminal(addr, &id), "canceled");
+
+    handle.shutdown();
+}
+
+#[test]
+fn status_long_poll_defers_until_phase_change() {
+    let (handle, addr) = spawn(ServerConfig {
+        start_paused: true,
+        ..ServerConfig::default()
+    });
+    let sub = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    let id = sub.json_field("id");
+
+    // Phase doesn't change: the poll holds for the full timeout.
+    let t0 = Instant::now();
+    let st = get(
+        addr,
+        &format!("/v1/campaigns/{id}?watch=queued&timeout_ms=300"),
+    );
+    assert_eq!(st.status, 200);
+    assert_eq!(st.json_field("state"), "queued");
+    assert_eq!(st.header("cache-control"), Some("no-store"));
+    assert!(
+        t0.elapsed() >= Duration::from_millis(250),
+        "long-poll returned in {:?}, before its timeout",
+        t0.elapsed()
+    );
+
+    // Phase changes mid-poll: the response arrives without the full wait.
+    let t1 = Instant::now();
+    let poller = std::thread::spawn({
+        let path = format!("/v1/campaigns/{id}?watch=queued&timeout_ms=20000");
+        move || get(addr, &path)
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    handle.resume();
+    let st = poller.join().unwrap();
+    assert_eq!(st.status, 200);
+    assert_ne!(st.json_field("state"), "queued", "{}", st.body);
+    assert!(
+        t1.elapsed() < Duration::from_secs(20),
+        "woke before timeout"
+    );
+
+    // A bad watch label is a structured 400.
+    let bad = get(addr, &format!("/v1/campaigns/{id}?watch=sideways"));
+    assert_eq!(bad.status, 400, "{}", bad.body);
+
+    let _ = wait_terminal(addr, &id);
+    handle.shutdown();
+}
+
+#[test]
+fn high_priority_lane_overtakes_queued_batch_jobs() {
+    let (handle, addr) = spawn(ServerConfig {
+        start_paused: true,
+        workers: 1,
+        ..ServerConfig::default()
+    });
+
+    // Three batch jobs enqueued first, then one interactive job.
+    let low = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"priority":"low","seed":1}"#;
+    let low_id = post(addr, "/v1/campaigns", low).json_field("id");
+    for seed in 2..4 {
+        let body = low.replace("\"seed\":1", &format!("\"seed\":{seed}"));
+        assert_eq!(post(addr, "/v1/campaigns", &body).status, 201);
+    }
+    let high = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"priority":"high"}"#;
+    let high_id = post(addr, "/v1/campaigns", high).json_field("id");
+
+    handle.resume();
+    // The first job to leave "queued" must be the high-priority one, even
+    // though it was submitted last.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let high_state = get(addr, &format!("/v1/campaigns/{high_id}")).json_field("state");
+        let low_state = get(addr, &format!("/v1/campaigns/{low_id}")).json_field("state");
+        if high_state != "queued" {
+            assert_eq!(
+                low_state, "queued",
+                "high lane must drain before the first low job starts"
+            );
+            break;
+        }
+        assert_eq!(low_state, "queued", "low job overtook the high lane");
+        assert!(Instant::now() < deadline, "nothing ever started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(wait_terminal(addr, &high_id), "done");
+    handle.shutdown();
+}
+
+#[test]
+fn client_quota_bounds_admissions_per_identity() {
+    let (handle, addr) = spawn(ServerConfig {
+        start_paused: true,
+        client_quota: 1,
+        ..ServerConfig::default()
+    });
+    let alice = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"client":"alice"}"#;
+    assert_eq!(post(addr, "/v1/campaigns", alice).status, 201);
+    let over = post(addr, "/v1/campaigns", alice);
+    assert_eq!(over.status, 429, "{}", over.body);
+    assert!(over.header("retry-after").is_some(), "{:?}", over.headers);
+    assert!(over.body.contains("client quota"), "{}", over.body);
+
+    // A different identity (and the anonymous bucket) are unaffected.
+    let bob = alice.replace("alice", "bob");
+    assert_eq!(post(addr, "/v1/campaigns", &bob).status, 201);
+    assert_eq!(post(addr, "/v1/campaigns", SMALL_CAMPAIGN).status, 201);
+
+    handle.shutdown();
+}
+
+#[test]
+fn serve_binary_refuses_unknown_flags_and_missing_values() {
+    // A retired or misspelled flag must stop the daemon at start-up rather
+    // than be ignored, so an operator never runs a configuration they did
+    // not ask for.
+    for args in [
+        &["--addr", "127.0.0.1:0", "--peer", "127.0.0.1:7071"][..],
+        &["--addr", "127.0.0.1:0", "--workers"][..],
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("serve {args:?} started instead of refusing");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag or missing value"),
+            "{args:?}: {stderr}"
+        );
+    }
 }

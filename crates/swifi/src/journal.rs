@@ -463,49 +463,6 @@ impl JournalWriter {
     }
 }
 
-/// Write raw journal lines — as streamed back from a remote shard — to
-/// `path`, validating each against the record grammar first. Lines that do
-/// not parse as a known record are dropped (they would be dropped on replay
-/// anyway; dropping them here keeps the per-shard files clean and surfaces
-/// transport corruption at collection time). Returns `(written, dropped)`.
-///
-/// This is the fleet coordinator's journal-collection entry point: a worker
-/// daemon emits its finished journal line-by-line over its events stream,
-/// the coordinator funnels the lines through here into one file per shard,
-/// and [`merge_journals`] then folds the shard files — with the same
-/// meta-identity checking a CLI `merge-journals` gets.
-pub fn write_journal_lines<'a>(
-    path: impl AsRef<Path>,
-    lines: impl IntoIterator<Item = &'a str>,
-) -> Result<(usize, usize), String> {
-    let path = path.as_ref();
-    let f = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut w = BufWriter::new(f);
-    let mut written = 0usize;
-    let mut dropped = 0usize;
-    for line in lines {
-        let valid = json::parse(line)
-            .ok()
-            .and_then(|j| match j.get("rec").and_then(|r| r.as_str()) {
-                Some("meta") => JournalMeta::from_json(&j).map(|_| ()),
-                Some("unit") => UnitRecord::from_json(&j).map(|_| ()),
-                Some("quarantine") => QuarantineRecord::from_json(&j).map(|_| ()),
-                Some("ckpt") => CheckpointRecord::from_json(&j).map(|_| ()),
-                Some("profile") => PhaseProfile::from_json(&j).map(|_| ()),
-                _ => None,
-            })
-            .is_some();
-        if valid {
-            writeln!(w, "{line}").map_err(|e| format!("{}: {e}", path.display()))?;
-            written += 1;
-        } else {
-            dropped += 1;
-        }
-    }
-    w.flush().map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok((written, dropped))
-}
-
 /// Merge shard journals of one campaign into a single journal at `out`.
 ///
 /// All inputs must carry the same [`JournalMeta`] (same program, kind, seed,
@@ -696,35 +653,6 @@ mod tests {
         assert_eq!(merged.ckpt, Some(c));
         assert_eq!(merged.units.len(), 1);
         for p in [&path, &out] {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-
-    #[test]
-    fn raw_lines_round_trip_and_invalid_lines_drop() {
-        // Write a journal, re-read it as raw text, funnel the lines through
-        // the coordinator's collection entry point, and confirm the replay
-        // is unchanged — with garbage lines filtered out along the way.
-        let src = tmp("raw-src.jsonl");
-        let dst = tmp("raw-dst.jsonl");
-        for p in [&src, &dst] {
-            let _ = std::fs::remove_file(p);
-        }
-        let w = JournalWriter::append(&src, Some(&meta())).unwrap();
-        w.unit(&unit(0, 0)).unwrap();
-        w.unit(&unit(1, 2)).unwrap();
-        drop(w);
-        let text = std::fs::read_to_string(&src).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.push("{\"rec\":\"unit\",\"torn\":tru"); // transport corruption
-        lines.push("not json at all");
-        let (written, dropped) = write_journal_lines(&dst, lines).unwrap();
-        assert_eq!((written, dropped), (3, 2));
-        let replay = read_journal(&dst).unwrap();
-        assert_eq!(replay.meta, Some(meta()));
-        assert_eq!(replay.units.len(), 2);
-        assert_eq!(replay.dropped_lines, 0, "collected file is clean");
-        for p in [&src, &dst] {
             let _ = std::fs::remove_file(p);
         }
     }

@@ -257,34 +257,6 @@ pub enum Event {
         /// Planned samples that were skipped by stopping early.
         skipped: u64,
     },
-    /// A fleet coordinator handed one shard of a campaign to an executor —
-    /// a peer daemon, or itself (`peer` = `"local"`).
-    ShardDispatched {
-        /// Shard index (`0..total`).
-        shard: u64,
-        /// Shard modulus: how many ways the campaign was split.
-        total: u64,
-        /// Peer address the shard went to, or `"local"`.
-        peer: String,
-    },
-    /// A dispatched shard failed on its executor and was re-routed — to the
-    /// next peer in the ring, or to local execution as the final fallback.
-    ShardRedispatched {
-        /// Shard index.
-        shard: u64,
-        /// New executor (peer address or `"local"`).
-        peer: String,
-        /// Why the previous executor lost the shard.
-        reason: String,
-    },
-    /// A coordinator's pre-dispatch `/healthz` probe failed, so the peer
-    /// was skipped without ever being offered the shard.
-    ShardSkippedUnhealthy {
-        /// Shard index.
-        shard: u64,
-        /// The unhealthy peer's address.
-        peer: String,
-    },
 }
 
 impl Event {
@@ -304,9 +276,6 @@ impl Event {
             Event::UnitQuarantined { .. } => "unit_quarantined",
             Event::Span { .. } => "span",
             Event::StratumConverged { .. } => "stratum_converged",
-            Event::ShardDispatched { .. } => "shard_dispatched",
-            Event::ShardRedispatched { .. } => "shard_redispatched",
-            Event::ShardSkippedUnhealthy { .. } => "shard_skipped_unhealthy",
         }
     }
 
@@ -452,24 +421,6 @@ impl Event {
                 put("samples", Json::uint(*samples));
                 put("ci_width", Json::Num(*ci_width));
                 put("skipped", Json::uint(*skipped));
-            }
-            Event::ShardDispatched { shard, total, peer } => {
-                put("shard", Json::uint(*shard));
-                put("total", Json::uint(*total));
-                put("peer", Json::str(peer.clone()));
-            }
-            Event::ShardRedispatched {
-                shard,
-                peer,
-                reason,
-            } => {
-                put("shard", Json::uint(*shard));
-                put("peer", Json::str(peer.clone()));
-                put("reason", Json::str(reason.clone()));
-            }
-            Event::ShardSkippedUnhealthy { shard, peer } => {
-                put("shard", Json::uint(*shard));
-                put("peer", Json::str(peer.clone()));
             }
         }
         Json::Obj(obj)
