@@ -50,6 +50,13 @@
 //! `--plan-in` instead evaluates a previously emitted plan: it measures the
 //! plan's fault-free overhead and re-runs the coverage campaign under it.
 //! Output is deterministic: same inputs, byte-identical plan and front.
+//!
+//! `--engine` and `--threads` only fill the campaign config: the engine runs
+//! every kernel of the campaign (or of `harden`), the thread count sizes the
+//! injection workers (0 = one per core). Neither changes a summary byte. A
+//! numeric flag whose value is missing or does not parse, an unknown engine
+//! or program, and a malformed `--shard` or `--budgets` are refused with
+//! exit status 2.
 
 use hauberk::builds::FtOptions;
 use hauberk::translator::select::HardeningPlan;
@@ -64,12 +71,61 @@ use hauberk_swifi::report::to_csv;
 use hauberk_swifi::sampler::AdaptiveConfig;
 use hauberk_telemetry::json::Json;
 use hauberk_telemetry::report::Emitter;
+use std::str::FromStr;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter()
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// Refuse malformed input with exit status 2 instead of running a campaign
+/// the caller did not ask for.
+fn refuse(msg: String) -> ! {
+    eprintln!("campaign: {msg}");
+    std::process::exit(2);
+}
+
+/// The parsed value of numeric flag `key`, `None` when it is absent. A
+/// missing or malformed value is refused, naming the flag.
+fn num_arg<T: FromStr>(args: &[String], key: &str) -> Option<T> {
+    args.iter().any(|a| a == key).then(|| {
+        let v = arg_value(args, key).unwrap_or_else(|| refuse(format!("{key} expects a number")));
+        v.parse()
+            .unwrap_or_else(|_| refuse(format!("{key} expects a number, got `{v}`")))
+    })
+}
+
+/// The campaign settings `campaign` and `campaign harden` share.
+fn campaign_config(args: &[String]) -> CampaignConfig {
+    CampaignConfig {
+        plan: PlanConfig {
+            vars_per_program: num_arg(args, "--vars").unwrap_or(20),
+            masks_per_var: num_arg(args, "--masks").unwrap_or(25),
+            bit_counts: PAPER_BIT_COUNTS.to_vec(),
+            scheduler_per_mille: 60,
+            register_per_mille: 60,
+        },
+        alpha: num_arg(args, "--alpha").unwrap_or(1.0),
+        engine: arg_value(args, "--engine").map(|v| {
+            hauberk_sim::ExecEngine::parse(&v).unwrap_or_else(|| {
+                refuse(format!(
+                    "--engine: unknown engine `{v}` (try tree-walk, bytecode, or batch)"
+                ))
+            })
+        }),
+        threads: num_arg(args, "--threads").unwrap_or(0),
+        ..Default::default()
+    }
+}
+
+fn program(name: &str) -> Box<dyn hauberk::program::HostProgram> {
+    program_by_name(name, ProblemScale::Quick).unwrap_or_else(|| {
+        refuse(format!(
+            "unknown program `{name}` (try CP, MRI-Q, SAD, ...)"
+        ))
+    })
 }
 
 /// `campaign merge-journals --out PATH a.jsonl b.jsonl ...`
@@ -104,60 +160,25 @@ fn harden_main(args: &[String]) {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "CP".to_string());
-    let engine = arg_value(args, "--engine").map(|v| {
-        hauberk_sim::ExecEngine::parse(&v)
-            .unwrap_or_else(|| panic!("unknown engine `{v}` (try tree-walk, bytecode, or batch)"))
-    });
-    if let Some(e) = engine {
-        hauberk_sim::set_default_engine(e);
-    }
-    if let Some(n) = arg_value(args, "--threads").and_then(|v| v.parse().ok()) {
-        rayon::set_thread_count(n);
-    }
-    let vars: usize = arg_value(args, "--vars")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let masks: usize = arg_value(args, "--masks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let alpha: f64 = arg_value(args, "--alpha")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let budget: f64 = arg_value(args, "--budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.5);
+    let budget: f64 = num_arg(args, "--budget").unwrap_or(0.5);
     let budgets: Vec<f64> = arg_value(args, "--budgets")
         .map(|v| {
             v.split(',')
                 .map(|b| {
                     b.trim()
                         .parse()
-                        .unwrap_or_else(|_| panic!("--budgets: bad fraction `{b}`"))
+                        .unwrap_or_else(|_| refuse(format!("--budgets: bad fraction `{b}`")))
                 })
                 .collect()
         })
         .unwrap_or_default();
-    let iterations: usize = arg_value(args, "--iterations")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let prog = program_by_name(&name, ProblemScale::Quick)
-        .unwrap_or_else(|| panic!("unknown program `{name}` (try CP, MRI-Q, SAD, ...)"));
+    let iterations: usize = num_arg(args, "--iterations").unwrap_or(1);
+    let prog = program(&name);
     let cfg = HardenConfig {
         budget,
         budgets,
         iterations,
-        campaign: CampaignConfig {
-            plan: PlanConfig {
-                vars_per_program: vars,
-                masks_per_var: masks,
-                bit_counts: PAPER_BIT_COUNTS.to_vec(),
-                scheduler_per_mille: 60,
-                register_per_mille: 60,
-            },
-            alpha,
-            engine,
-            ..Default::default()
-        },
+        campaign: campaign_config(args),
         baseline_journal: arg_value(args, "--baseline-journal").map(Into::into),
         ..Default::default()
     };
@@ -279,51 +300,20 @@ fn main() {
         .unwrap_or_else(|| "CP".to_string());
     let sensitivity = args.iter().any(|a| a == "--sensitivity");
     let json = args.iter().any(|a| a == "--json");
-    let vars: usize = arg_value(&args, "--vars")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let masks: usize = arg_value(&args, "--masks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let alpha: f64 = arg_value(&args, "--alpha")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
     let csv_path = arg_value(&args, "--csv");
     let trace_path = arg_value(&args, "--trace-out");
-    let progress_every: u64 = arg_value(&args, "--progress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let engine = arg_value(&args, "--engine").map(|v| {
-        hauberk_sim::ExecEngine::parse(&v)
-            .unwrap_or_else(|| panic!("unknown engine `{v}` (try tree-walk, bytecode, or batch)"))
-    });
-    if let Some(e) = engine {
-        // Pin golden/profiling runs too, not just the injection loop.
-        hauberk_sim::set_default_engine(e);
-    }
-    if let Some(n) = arg_value(&args, "--threads").and_then(|v| v.parse().ok()) {
-        rayon::set_thread_count(n);
-    }
-
-    let shard_size: usize = arg_value(&args, "--shard-size")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let adaptive =
-        if args.iter().any(|a| a == "--adaptive") || arg_value(&args, "--ci-width").is_some() {
-            let mut a = AdaptiveConfig::default();
-            if let Some(w) = arg_value(&args, "--ci-width").and_then(|v| v.parse().ok()) {
-                a.ci_width = w;
-            }
-            if let Some(n) = arg_value(&args, "--min-samples").and_then(|v| v.parse().ok()) {
-                a.min_samples = n;
-            }
-            Some(a)
-        } else {
-            None
-        };
-    let max_retries: u32 = arg_value(&args, "--max-retries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(OrchestratorConfig::DEFAULT_MAX_RETRIES);
+    let adaptive = if args.iter().any(|a| a == "--adaptive" || a == "--ci-width") {
+        let mut a = AdaptiveConfig::default();
+        if let Some(w) = num_arg(&args, "--ci-width") {
+            a.ci_width = w;
+        }
+        if let Some(n) = num_arg(&args, "--min-samples") {
+            a.min_samples = n;
+        }
+        Some(a)
+    } else {
+        None
+    };
     let shard = arg_value(&args, "--shard").map(|v| {
         let parse = |s: &str| -> Option<(u32, u32)> {
             let (i, m) = s.split_once('/')?;
@@ -331,36 +321,26 @@ fn main() {
         };
         match parse(&v) {
             Some((i, m)) if m > 0 && i < m => (i, m),
-            _ => panic!("--shard expects I/M with 0 <= I < M, got `{v}`"),
+            _ => refuse(format!("--shard expects I/M with 0 <= I < M, got `{v}`")),
         }
     });
     let journal_path = arg_value(&args, "--journal");
     let resume_from = arg_value(&args, "--resume");
     if journal_path.is_some() && resume_from.is_some() {
-        eprintln!("campaign: --journal (fresh) and --resume are mutually exclusive");
-        std::process::exit(2);
+        refuse("--journal (fresh) and --resume are mutually exclusive".into());
     }
 
-    let prog = program_by_name(&name, ProblemScale::Quick)
-        .unwrap_or_else(|| panic!("unknown program `{name}` (try CP, MRI-Q, SAD, ...)"));
+    let prog = program(&name);
     let cfg = CampaignConfig {
-        plan: PlanConfig {
-            vars_per_program: vars,
-            masks_per_var: masks,
-            bit_counts: PAPER_BIT_COUNTS.to_vec(),
-            scheduler_per_mille: 60,
-            register_per_mille: 60,
-        },
-        alpha,
-        progress_every,
+        progress_every: num_arg(&args, "--progress").unwrap_or(0),
         trace_path: trace_path.clone().map(Into::into),
-        engine,
-        ..Default::default()
+        ..campaign_config(&args)
     };
     let orch = OrchestratorConfig {
-        shard_size,
+        shard_size: num_arg(&args, "--shard-size").unwrap_or(0),
         adaptive,
-        max_retries,
+        max_retries: num_arg(&args, "--max-retries")
+            .unwrap_or(OrchestratorConfig::DEFAULT_MAX_RETRIES),
         journal_path: journal_path.map(Into::into),
         resume_from: resume_from.map(Into::into),
         shard,
@@ -377,8 +357,9 @@ fn main() {
     };
     let mut em = Emitter::new(json);
     em.text(format!(
-        "running {} campaign on {name} (alpha={alpha})...",
-        kind.label()
+        "running {} campaign on {name} (alpha={})...",
+        kind.label(),
+        cfg.alpha
     ));
     let sharded = match run_orchestrated_campaign(prog.as_ref(), kind, &cfg, &orch) {
         Ok(r) => r,

@@ -1,17 +1,25 @@
 //! `figures` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|all]
+//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|all]
 //!         [--paper]     use larger problem sizes / experiment counts
 //!         [--json]      one JSON document instead of text sections
-//!         [--engine E]  execution engine: tree-walk, bytecode (default), or batch
-//!         [--threads N] pin the campaign worker-thread count (0 = one per core)
 //! ```
+//!
+//! Output does not depend on the execution engine or the worker count (the
+//! differential and determinism suites prove it), so neither is a flag here;
+//! `campaign --engine/--threads` select them for a single campaign. Unknown
+//! flags and figure names are refused with exit status 2.
 
 use hauberk_bench::report::{Emitter, Table};
 use hauberk_bench::*;
 use hauberk_benchmarks::{hpc_suite, ProblemScale};
 use std::env;
+
+const FIGURES: [&str; 14] = [
+    "fig1", "fig2", "fig3", "fig4", "fig9", "fig10", "fig13", "fig14", "fig15", "fig16", "alpha",
+    "guardian", "ablation", "all",
+];
 
 struct Cfg {
     scale: ProblemScale,
@@ -20,25 +28,16 @@ struct Cfg {
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !matches!(a.as_str(), "--paper" | "--json") && !FIGURES.contains(&a.as_str()))
+    {
+        eprintln!("figures: unknown argument `{bad}`");
+        eprintln!("usage: figures [{}] [--paper] [--json]", FIGURES.join("|"));
+        std::process::exit(2);
+    }
     let big = args.iter().any(|a| a == "--paper");
     let json = args.iter().any(|a| a == "--json");
-    if let Some(v) = args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-    {
-        let e = hauberk_sim::ExecEngine::parse(v)
-            .unwrap_or_else(|| panic!("unknown engine `{v}` (try tree-walk, bytecode, or batch)"));
-        hauberk_sim::set_default_engine(e);
-    }
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-    {
-        rayon::set_thread_count(n);
-    }
     let cfg = Cfg {
         scale: if big {
             ProblemScale::Paper
@@ -47,17 +46,10 @@ fn main() {
         },
         big,
     };
-    // `--engine` and `--threads` take values; don't mistake them for
-    // figure names.
-    let flag_vals: Vec<usize> = ["--engine", "--threads"]
-        .iter()
-        .filter_map(|f| args.iter().position(|a| a == f).map(|i| i + 1))
-        .collect();
     let which: Vec<&str> = args
         .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !flag_vals.contains(i))
-        .map(|(_, s)| s.as_str())
+        .filter(|a| !a.starts_with("--"))
+        .map(|s| s.as_str())
         .collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
     let all = which.contains(&"all");

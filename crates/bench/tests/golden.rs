@@ -74,26 +74,64 @@ fn figures_json_snapshot() {
     check_snapshot("figures_fig9_ablation.json", &out);
 }
 
+/// Spawn `bin` with `args`, assert it refuses them with exit status 2 and a
+/// stderr line containing `needle`, and that it printed nothing on stdout.
+fn assert_refused(bin: &str, args: &[&str], needle: &str) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
+}
+
 /// `campaign --json` on a small pinned-seed CP campaign: the summary document
 /// (outcome ratios, golden cycles, detector count, metrics) is part of the
-/// reproduction contract. The engine and thread count must not matter — the
-/// determinism suite asserts that; here we pin the default engine output.
+/// reproduction contract. `--engine` and `--threads` reach the run through
+/// the campaign config alone, and must not move a byte: the same campaign on
+/// tree-walk with 4 workers and on batch equals the snapshot.
 #[test]
 fn campaign_json_snapshot() {
-    let out = run(
-        env!("CARGO_BIN_EXE_campaign"),
-        &[
-            "CP",
-            "--json",
-            "--vars",
-            "2",
-            "--masks",
-            "2",
-            "--threads",
-            "1",
-        ],
-    );
+    let small = ["CP", "--json", "--vars", "2", "--masks", "2"];
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    let out = run(bin, &[&small[..], &["--threads", "1"][..]].concat());
     check_snapshot("campaign_cp_small.json", &out);
+    for flags in [
+        &["--engine", "tree-walk", "--threads", "4"][..],
+        &["--engine", "batch"][..],
+    ] {
+        let other = run(bin, &[&small[..], flags].concat());
+        assert_eq!(out, other, "{flags:?} changed the summary");
+    }
+}
+
+/// A malformed number is refused, naming the flag, instead of silently
+/// running the default campaign.
+#[test]
+fn campaign_refuses_malformed_numbers() {
+    assert_refused(
+        env!("CARGO_BIN_EXE_campaign"),
+        &["CP", "--threads", "four"],
+        "--threads",
+    );
+}
+
+/// `figures` refuses unknown flags (the removed `--engine` and `--threads`
+/// included) and unknown figure names instead of printing nothing or
+/// silently running every figure.
+#[test]
+fn figures_refuses_unknown_arguments() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    for args in [
+        &["fig99"][..],
+        &["--engin", "batch"][..],
+        &["fig9", "--engine", "batch"][..],
+        &["fig9", "--threads", "1"][..],
+    ] {
+        assert_refused(bin, args, "usage: figures");
+    }
 }
 
 /// The same pinned campaign under `--checkpoint`: the stdout document is

@@ -95,7 +95,7 @@ pub mod units;
 pub use builds::{build, BuildVariant, FtOptions, Instrumented};
 pub use control::ControlBlock;
 pub use pipeline::{build_all, BuildSet, ProtectedProgram};
-pub use program::{run_program, run_program_traced, run_program_with_engine};
+pub use program::{run_program, run_program_with_engine};
 pub use program::{CorrectnessSpec, HostProgram, MemBreakdown, ProgramRun};
 pub use ranges::{Range, RangeSet};
 pub use runtime::{FiFtRuntime, FiRuntime, FtRuntime, ProfilerRuntime};

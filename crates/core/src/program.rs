@@ -160,6 +160,23 @@ impl ProgramRun {
     pub fn output(&self) -> Option<&[f64]> {
         self.output.as_deref()
     }
+
+    /// The golden output and **work cycles** (total cycles summed over all
+    /// warps — the quantity the hang watchdog budget is expressed in;
+    /// simulated kernel *time* is the per-SM maximum in the stats) of a
+    /// fault-free baseline run of `program`, which must have completed.
+    pub fn into_golden(self, program: &str) -> (Vec<f64>, u64) {
+        let stats = self.outcome.completed_stats().unwrap_or_else(|| {
+            panic!(
+                "golden run of `{program}` must complete: {:?}",
+                self.outcome
+            )
+        });
+        (
+            self.output.expect("completed run has output"),
+            stats.work_cycles,
+        )
+    }
 }
 
 /// Execute `kernel` (any build variant of `prog`'s kernel) on a fresh device
@@ -171,36 +188,23 @@ pub fn run_program(
     rt: &mut dyn HookRuntime,
     cycle_budget: u64,
 ) -> ProgramRun {
-    run_program_traced(
+    run_program_with_engine(
         prog,
         kernel,
         dataset,
         rt,
         cycle_budget,
         &hauberk_telemetry::Telemetry::disabled(),
+        None,
     )
 }
 
-/// [`run_program`] with a telemetry handle: the device emits kernel
-/// launch/exit span events (and per-hook events when hot events are on)
-/// into `tele`'s sink.
-pub fn run_program_traced(
-    prog: &dyn HostProgram,
-    kernel: &KernelDef,
-    dataset: u64,
-    rt: &mut dyn HookRuntime,
-    cycle_budget: u64,
-    tele: &hauberk_telemetry::Telemetry,
-) -> ProgramRun {
-    run_program_with_engine(prog, kernel, dataset, rt, cycle_budget, tele, None)
-}
-
-/// [`run_program_traced`] with an explicit execution engine.
-///
-/// `None` keeps the program's device default (which itself follows the
-/// process-wide [`hauberk_sim::default_engine`]); `Some` pins the engine for
-/// this run regardless of either — campaigns use this so an `--engine` flag
-/// or a differential test overrides everything downstream.
+/// [`run_program`] with a telemetry handle and an explicit execution engine.
+/// The device emits kernel launch/exit span events (and per-hook events when
+/// hot events are on) into `tele`'s sink. `engine` `None` keeps the
+/// program's device default ([`hauberk_sim::default_engine`]); `Some` pins
+/// the engine for this run. Campaigns pass their configured engine to every
+/// run they perform.
 pub fn run_program_with_engine(
     prog: &dyn HostProgram,
     kernel: &KernelDef,
@@ -226,30 +230,18 @@ pub fn run_program_with_engine(
     ProgramRun { outcome, output }
 }
 
-/// Run the baseline build fault-free and return the golden output and the
-/// baseline **work cycles** (total cycles summed over all warps — the
-/// quantity the hang watchdog budget is expressed in; simulated kernel
-/// *time* is the per-SM maximum and is reported by [`run_program`]'s stats).
+/// Run the baseline build fault-free on the program's default device and
+/// return [`ProgramRun::into_golden`]'s golden output and work cycles.
 pub fn golden_run(prog: &dyn HostProgram, dataset: u64) -> (Vec<f64>, u64) {
     let kernel = prog.build_kernel();
-    let run = run_program(
+    run_program(
         prog,
         &kernel,
         dataset,
         &mut hauberk_sim::NullRuntime,
         Launch::DEFAULT_BUDGET,
-    );
-    let stats = run.outcome.completed_stats().unwrap_or_else(|| {
-        panic!(
-            "golden run of `{}` must complete: {:?}",
-            prog.name(),
-            run.outcome
-        )
-    });
-    (
-        run.output.expect("completed run has output"),
-        stats.work_cycles,
     )
+    .into_golden(prog.name())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::alpha::{AlphaConfig, AlphaController};
 use crate::bist::run_bist;
 use crate::cluster::Cluster;
 use hauberk::control::ControlBlock;
-use hauberk::program::{run_program_traced, CorrectnessSpec, HostProgram, ProgramRun};
+use hauberk::program::{run_program_with_engine, CorrectnessSpec, HostProgram, ProgramRun};
 use hauberk::ranges::RangeSet;
 use hauberk::runtime::FiFtRuntime;
 use hauberk_kir::KernelDef;
@@ -211,13 +211,14 @@ impl Guardian {
         let fault = self.cluster.gpus[device].fault_for_run(self.cluster.now);
         let cb = ControlBlock::with_ranges(effective);
         let mut rt = FiFtRuntime::new(fault, cb).with_telemetry(self.tele.clone());
-        let run = run_program_traced(
+        let run = run_program_with_engine(
             prog,
             kernel,
             dataset,
             &mut rt,
             self.watchdog_budget(),
             &self.tele,
+            None,
         );
         self.cluster.gpus[device].note_run();
         self.cluster

@@ -1,7 +1,6 @@
 //! Device and cost-model configuration.
 
 use crate::stats::OpClass;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which execution engine a device uses to run kernels.
 ///
@@ -66,32 +65,11 @@ impl std::fmt::Display for ExecEngine {
     }
 }
 
-/// Process-wide default engine for newly constructed [`DeviceConfig`]s
-/// (0 = tree-walk, 1 = bytecode, 2 = batch).
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(1);
-
-/// Set the process-wide default engine used by [`DeviceConfig::gpu`] /
-/// [`DeviceConfig::cpu`] (and everything built on them). Campaign binaries
-/// call this from their `--engine` flag; tests use it to force all engines
-/// through identical code paths.
-pub fn set_default_engine(e: ExecEngine) {
-    DEFAULT_ENGINE.store(
-        match e {
-            ExecEngine::TreeWalk => 0,
-            ExecEngine::Bytecode => 1,
-            ExecEngine::Batch => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-wide default engine.
+/// The engine every [`DeviceConfig`] starts with. A run that wants another
+/// engine sets [`DeviceConfig::engine`] itself; campaigns carry theirs on
+/// their config.
 pub fn default_engine() -> ExecEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        0 => ExecEngine::TreeWalk,
-        2 => ExecEngine::Batch,
-        _ => ExecEngine::Bytecode,
-    }
+    ExecEngine::Bytecode
 }
 
 /// Per-operation-class issue costs and pairing rules.
@@ -195,7 +173,7 @@ pub struct DeviceConfig {
     pub strict_memory: bool,
     /// Cost model.
     pub cost: CostModel,
-    /// Execution engine (defaults to the process-wide [`default_engine`]).
+    /// Execution engine (defaults to [`default_engine`]).
     pub engine: ExecEngine,
 }
 

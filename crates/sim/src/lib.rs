@@ -60,7 +60,7 @@ pub mod vm_batch;
 
 pub use backend::{BatchBackend, BytecodeBackend, ExecBackend, Prepared, TreeWalkBackend, WarpCtx};
 pub use bytecode::{compile_cached, disassemble, CompiledKernel};
-pub use config::{default_engine, set_default_engine, CostModel, DeviceConfig, ExecEngine};
+pub use config::{default_engine, CostModel, DeviceConfig, ExecEngine};
 pub use device::{Device, Launch};
 pub use fault::{ArmedFault, FaultSite, MemoryBurst};
 pub use hooks::{HookCtx, HookRuntime, LoopCheckCtx, NullRuntime, RegCorruption};

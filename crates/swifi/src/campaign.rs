@@ -15,7 +15,7 @@ use crate::profile::PhaseAcc;
 use hauberk::builds::{build, build_selected, BuildVariant, FtOptions, Instrumented};
 use hauberk::control::{ControlBlock, NON_LOOP_DETECTOR};
 use hauberk::program::CorrectnessSpec;
-use hauberk::program::{golden_run, run_program, run_program_with_engine, HostProgram};
+use hauberk::program::{run_program_with_engine, HostProgram};
 use hauberk::ranges::{profile_ranges, RangeSet};
 use hauberk::runtime::{FiFtRuntime, FiRuntime, ProfilerRuntime};
 use hauberk::translator::select::HardeningSelection;
@@ -53,10 +53,14 @@ pub struct CampaignConfig {
     /// start/finish, one `injection_run` per experiment, kernel spans,
     /// fault deliveries, detector alarms).
     pub trace_path: Option<PathBuf>,
-    /// Execution engine for the injection runs (`None` = the process-wide
-    /// default). The differential suite runs the same campaign under both
-    /// engines and asserts identical outcome tallies.
+    /// Execution engine for every run the campaign performs: golden,
+    /// profiler, checkpoint reference and injections (`None` = the device
+    /// default, [`hauberk_sim::default_engine`]). Summaries are identical on
+    /// every engine; the journal meta records which one ran.
     pub engine: Option<hauberk_sim::ExecEngine>,
+    /// Worker threads for the injection runs (0 = one per core). Speed
+    /// only: it enters no journal, checkpoint, cache-key or plan identity.
+    pub threads: usize,
     /// Selective detector placement for coverage campaigns (`None` = full
     /// protection, the classic behavior). The profiler and FI&FT builds are
     /// both restricted to the selection, keeping their detector layouts
@@ -79,6 +83,7 @@ impl Default for CampaignConfig {
             progress_every: 0,
             trace_path: None,
             engine: None,
+            threads: 0,
             hardening: None,
         }
     }
@@ -136,20 +141,29 @@ impl CampaignResult {
     }
 }
 
-/// Run the profiler build over `datasets` and return the trained ranges
-/// (merged across datasets) plus the profiler state of the *last* dataset
-/// (whose execution counts drive fault planning).
+/// Run the profiler build over `datasets` on `engine` and return the
+/// trained ranges (merged across datasets) plus the profiler state of the
+/// *last* dataset (whose execution counts drive fault planning).
 pub fn profile_program(
     prog: &dyn HostProgram,
     profiler_build: &Instrumented,
     datasets: &[u64],
+    engine: Option<hauberk_sim::ExecEngine>,
 ) -> (Vec<RangeSet>, ProfilerRuntime) {
     let n_det = profiler_build.detectors.len();
     let mut merged: Vec<RangeSet> = vec![RangeSet::default(); n_det];
     let mut last_pr = ProfilerRuntime::default();
     for &ds in datasets {
         let mut pr = ProfilerRuntime::default();
-        let run = run_program(prog, &profiler_build.kernel, ds, &mut pr, u64::MAX);
+        let run = run_program_with_engine(
+            prog,
+            &profiler_build.kernel,
+            ds,
+            &mut pr,
+            u64::MAX,
+            &Telemetry::disabled(),
+            engine,
+        );
         assert!(
             run.outcome.is_completed(),
             "profiling run of `{}` dataset {ds} must complete: {:?}",
@@ -374,13 +388,22 @@ pub(crate) fn prepare_campaign(
     cfg: &CampaignConfig,
 ) -> CampaignEnv {
     let base = prog.build_kernel();
-    let (golden, golden_cycles) = golden_run(prog, cfg.dataset);
+    let (golden, golden_cycles) = run_program_with_engine(
+        prog,
+        &base,
+        cfg.dataset,
+        &mut hauberk_sim::NullRuntime,
+        hauberk_sim::Launch::DEFAULT_BUDGET,
+        &Telemetry::disabled(),
+        cfg.engine,
+    )
+    .into_golden(prog.name());
     let budget = watchdog_budget(golden_cycles, cfg.watchdog_factor);
     match kind {
         CampaignKind::Sensitivity => {
             let profiler_build =
                 build(&base, BuildVariant::Profiler(FtOptions::default())).expect("profiler build");
-            let (_, pr) = profile_program(prog, &profiler_build, &[cfg.dataset]);
+            let (_, pr) = profile_program(prog, &profiler_build, &[cfg.dataset], cfg.engine);
             let fi_build = build(&base, BuildVariant::Fi).expect("FI build");
             let mut rng = SmallRng::seed_from_u64(cfg.seed);
             let plans = plan_campaign(&fi_build.fi, &pr, &cfg.plan, &mut rng);
@@ -412,7 +435,7 @@ pub(crate) fn prepare_campaign(
             if *train.last().expect("nonempty") != cfg.dataset {
                 train.push(cfg.dataset);
             }
-            let (mut ranges, pr) = profile_program(prog, &profiler_build, &train);
+            let (mut ranges, pr) = profile_program(prog, &profiler_build, &train, cfg.engine);
             if cfg.alpha > 1.0 {
                 for r in &mut ranges {
                     *r = r.apply_alpha(cfg.alpha);

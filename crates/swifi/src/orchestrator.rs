@@ -587,6 +587,7 @@ pub fn run_orchestrated_campaign_traced(
                     &phases,
                     unit_span.id(),
                     store.as_ref(),
+                    cfg.threads,
                 )
             };
             unit_walls.push((id.to_string(), t_unit.elapsed().as_nanos() as u64));
@@ -716,7 +717,10 @@ pub fn run_orchestrated_campaign_traced(
         sample_decision_ns,
         wall_ns: t_wall.elapsed().as_nanos() as u64,
         units: unit_walls.len() as u64,
-        threads: rayon::current_thread_count() as u64,
+        threads: match cfg.threads {
+            0 => rayon::current_thread_count(),
+            n => n,
+        } as u64,
         stragglers: flag_stragglers(&unit_walls),
     };
     if let Some(w) = &writer {
@@ -759,8 +763,9 @@ pub fn run_orchestrated_campaign_traced(
     })
 }
 
-/// Execute one work unit with retry: the unit's injections run in parallel,
-/// each behind its own `catch_unwind`, so a panic's message survives intact
+/// Execute one work unit with retry: the unit's injections run in parallel
+/// on `threads` workers (0 = one per core), each behind its own
+/// `catch_unwind`, so a panic's message survives intact
 /// regardless of worker-thread count. A failed attempt re-executes the whole
 /// unit (injections are idempotent); exhausting the retry budget yields the
 /// quarantine record.
@@ -779,6 +784,7 @@ fn execute_unit(
     phases: &PhaseAcc,
     parent_span: u64,
     store: Option<&CheckpointStore>,
+    threads: usize,
 ) -> Result<UnitRecord, QuarantineRecord> {
     let mut attempt = 0u32;
     loop {
@@ -794,6 +800,7 @@ fn execute_unit(
                 // not a shortcut around it.
                 let runs: Vec<Result<RecordedInjection, String>> = span
                     .par_iter()
+                    .with_threads(threads)
                     .map(|&i| {
                         catch_unwind(AssertUnwindSafe(|| {
                             if chaos.is_some() {

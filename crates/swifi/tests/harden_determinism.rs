@@ -4,17 +4,22 @@
 //! plan the optimizer emits must instrument *exactly* the selected sites
 //! when fed back through the translator.
 //!
-//! Engine default and thread count are process-global knobs, so everything
-//! runs inside one `#[test]` — parallel test threads flipping them would
-//! race each other, not the code under test.
+//! Engine and thread count are set on the campaign config only. Each
+//! combination first records its baseline sensitivity campaign to a
+//! journal — asserting the worker count its profile reports and the engine
+//! its meta records — and `harden` ingests that journal. A baseline whose
+//! engine differed from the one harden's baseline campaign is configured
+//! with would be refused by the journal's identity check.
 
 use hauberk::builds::{build_selected, BuildVariant};
 use hauberk::program::HostProgram;
 use hauberk_benchmarks::{cp::Cp, ProblemScale};
 use hauberk_kir::printer::print_kernel;
-use hauberk_sim::{set_default_engine, ExecEngine};
-use hauberk_swifi::campaign::CampaignConfig;
+use hauberk_sim::ExecEngine;
+use hauberk_swifi::campaign::{CampaignConfig, CampaignKind};
 use hauberk_swifi::harden::{harden, HardenConfig};
+use hauberk_swifi::journal::read_journal;
+use hauberk_swifi::orchestrator::{run_orchestrated_campaign, OrchestratorConfig};
 use hauberk_swifi::plan::PlanConfig;
 
 fn quick_cfg() -> HardenConfig {
@@ -36,15 +41,33 @@ fn quick_cfg() -> HardenConfig {
 #[test]
 fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
     let prog = Cp::new(ProblemScale::Quick);
-    let cfg = quick_cfg();
-
     let mut reference: Option<(String, String)> = None;
     for engine in ExecEngine::ALL {
         for threads in [1usize, 4] {
-            set_default_engine(engine);
-            rayon::set_thread_count(threads);
-            let r = harden(&prog, &cfg)
-                .unwrap_or_else(|e| panic!("harden under {engine}/{threads}t: {e}"));
+            let mut cfg = quick_cfg();
+            cfg.campaign.engine = Some(engine);
+            cfg.campaign.threads = threads;
+            let journal = std::env::temp_dir().join(format!(
+                "hauberk-harden-{}-{engine}-{threads}.jsonl",
+                std::process::id()
+            ));
+            let baseline = run_orchestrated_campaign(
+                &prog,
+                CampaignKind::Sensitivity,
+                &cfg.campaign,
+                &OrchestratorConfig {
+                    journal_path: Some(journal.clone()),
+                    ..Default::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("baseline under {engine}/{threads}t: {e}"));
+            assert_eq!(baseline.profile.threads, threads as u64);
+            let meta = read_journal(&journal).unwrap().meta.expect("meta record");
+            assert_eq!(meta.engine, engine.name());
+            cfg.baseline_journal = Some(journal.clone());
+            let r = harden(&prog, &cfg);
+            let _ = std::fs::remove_file(&journal);
+            let r = r.unwrap_or_else(|e| panic!("harden under {engine}/{threads}t: {e}"));
             let artifacts = (r.plan.to_json_string(), r.front_csv());
             match &reference {
                 None => reference = Some(artifacts),
@@ -61,9 +84,6 @@ fn plan_and_front_are_byte_identical_across_engines_and_thread_counts() {
             }
         }
     }
-    // Restore the process-wide defaults for any test run after this one.
-    set_default_engine(ExecEngine::Bytecode);
-    rayon::set_thread_count(0);
 
     // Translator round-trip: rebuilding under the emitted plan instruments
     // exactly the selected sites — every selected loop detector and nothing

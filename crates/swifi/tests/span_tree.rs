@@ -22,9 +22,9 @@ struct Rec {
 }
 
 /// Drive `campaigns` fake campaigns of `units` units × `launches` parallel
-/// launches each, and return the span records the sink saw.
+/// launches each on `threads` workers, and return the span records the sink
+/// saw.
 fn drive(campaigns: usize, units: usize, launches: usize, threads: usize) -> Vec<Rec> {
-    rayon::set_thread_count(threads);
     let sink = Arc::new(MemorySink::unbounded());
     let tele = Telemetry::new(sink.clone());
     for c in 0..campaigns {
@@ -34,7 +34,7 @@ fn drive(campaigns: usize, units: usize, launches: usize, threads: usize) -> Vec
             let unit = tele.span("unit");
             let unit_id = unit.id();
             let idxs: Vec<usize> = (0..launches).collect();
-            idxs.par_iter().for_each(|_i| {
+            idxs.par_iter().with_threads(threads).for_each(|_i| {
                 with_parent(unit_id, || {
                     let _launch = tele.span("launch");
                 });

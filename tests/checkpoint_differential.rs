@@ -15,10 +15,9 @@
 //! immediately before and after section boundaries, and the composed
 //! per-section outcome map must re-total to the campaign.
 //!
-//! Thread counts are only varied inside the property test: the sibling
-//! tests in this binary run under whatever count is current, which is safe
-//! precisely because the contract under test says results are thread-count
-//! invariant.
+//! Engine and thread count are set on each campaign's config; every run
+//! asserts its profile reports the worker count it was given (the sibling
+//! tests pass 0, one worker per core).
 
 use hauberk::builds::FtOptions;
 use hauberk::program::HostProgram;
@@ -102,7 +101,7 @@ fn program(g: &GenKernel) -> TextProgram {
 
 /// Small but site-saturating plan: more target variables than the kernel
 /// has, so every section's sites receive faults.
-fn cfg(engine: ExecEngine) -> CampaignConfig {
+fn cfg(engine: ExecEngine, threads: usize) -> CampaignConfig {
     CampaignConfig {
         plan: PlanConfig {
             vars_per_program: 8,
@@ -112,6 +111,7 @@ fn cfg(engine: ExecEngine) -> CampaignConfig {
             register_per_mille: 120,
         },
         engine: Some(engine),
+        threads,
         ..Default::default()
     }
 }
@@ -120,18 +120,24 @@ fn run(
     prog: &TextProgram,
     kind: CampaignKind,
     engine: ExecEngine,
+    threads: usize,
     checkpoint: bool,
 ) -> (ShardedCampaignResult, String, String, String) {
     let r = run_orchestrated_campaign(
         prog,
         kind,
-        &cfg(engine),
+        &cfg(engine, threads),
         &OrchestratorConfig {
             checkpoint,
             ..Default::default()
         },
     )
     .expect("orchestrated campaign");
+    let want = match threads {
+        0 => rayon::current_thread_count(),
+        n => n,
+    };
+    assert_eq!(r.profile.threads, want as u64, "worker count that ran");
     let csv = to_csv(&r.campaign);
     let json = r.summary_json().to_string();
     let text = r.summarize();
@@ -179,11 +185,10 @@ proptest! {
         let mut baseline: Option<(String, String, String)> = None;
         for engine in ENGINES {
             for threads in [1usize, 4] {
-                rayon::set_thread_count(threads);
                 let (full, f_csv, f_json, f_text) =
-                    run(&prog, CampaignKind::Sensitivity, engine, false);
+                    run(&prog, CampaignKind::Sensitivity, engine, threads, false);
                 let (ck, c_csv, c_json, c_text) =
-                    run(&prog, CampaignKind::Sensitivity, engine, true);
+                    run(&prog, CampaignKind::Sensitivity, engine, threads, true);
                 prop_assert_eq!(&f_csv, &c_csv, "CSV differs on {:?}/{}", engine, threads);
                 prop_assert_eq!(&f_json, &c_json, "JSON differs on {:?}/{}", engine, threads);
                 prop_assert_eq!(&f_text, &c_text, "text differs on {:?}/{}", engine, threads);
@@ -224,8 +229,8 @@ fn checkpointed_coverage_preserves_alarms_and_hook_logs() {
     let prog = program(&g);
     for engine in ENGINES {
         let kind = CampaignKind::Coverage(FtOptions::default());
-        let (full, f_csv, f_json, f_text) = run(&prog, kind, engine, false);
-        let (ck, c_csv, c_json, c_text) = run(&prog, kind, engine, true);
+        let (full, f_csv, f_json, f_text) = run(&prog, kind, engine, 0, false);
+        let (ck, c_csv, c_json, c_text) = run(&prog, kind, engine, 0, true);
         assert_eq!(f_csv, c_csv, "coverage CSV differs on {engine:?}");
         assert_eq!(f_json, c_json, "coverage JSON differs on {engine:?}");
         assert_eq!(f_text, c_text, "coverage text differs on {engine:?}");
@@ -265,7 +270,7 @@ fn boundary_faults_compose_across_all_sections() {
     );
     let mut per_engine = Vec::new();
     for engine in ENGINES {
-        let (ck, csv, _, _) = run(&prog, CampaignKind::Sensitivity, engine, true);
+        let (ck, csv, _, _) = run(&prog, CampaignKind::Sensitivity, engine, 0, true);
         check_engaged(&g, &ck);
         let hit: std::collections::BTreeSet<_> = ck
             .section_outcomes

@@ -9,9 +9,9 @@
 //!     interpreter must tally exactly the same outcomes at exactly the same
 //!     simulated cycles.
 //!
-//! All four (engine × thread-count) combinations are compared against each
-//! other in one test, so the thread-count global is never raced by a sibling
-//! test in this binary.
+//! Engine and thread count travel on the campaign config, and every run
+//! asserts what actually ran: its profile reports the requested worker
+//! count and its journal meta the requested engine.
 //!
 //! The orchestrator tests extend the contract to sharded execution: the
 //! summary must be invariant to the work-unit size (adaptive off) and to any
@@ -22,14 +22,14 @@
 use hauberk::builds::FtOptions;
 use hauberk_benchmarks::{program_by_name, ProblemScale};
 use hauberk_sim::ExecEngine;
-use hauberk_swifi::campaign::{run_coverage_campaign, CampaignConfig, CampaignKind};
+use hauberk_swifi::campaign::{CampaignConfig, CampaignKind};
+use hauberk_swifi::journal::read_journal;
 use hauberk_swifi::orchestrator::{run_orchestrated_campaign, OrchestratorConfig};
 use hauberk_swifi::plan::PlanConfig;
 use hauberk_swifi::report::{summary_json, to_csv};
 use std::path::PathBuf;
 
 fn campaign_fingerprint(engine: ExecEngine, threads: usize) -> (String, String) {
-    rayon::set_thread_count(threads);
     let prog = program_by_name("CP", ProblemScale::Quick).expect("CP exists");
     let cfg = CampaignConfig {
         plan: PlanConfig {
@@ -39,13 +39,30 @@ fn campaign_fingerprint(engine: ExecEngine, threads: usize) -> (String, String) 
             scheduler_per_mille: 120,
             register_per_mille: 120,
         },
+        engine: Some(engine),
+        threads,
         ..Default::default()
     };
-    let mut cfg = cfg;
-    cfg.engine = Some(engine);
-    let r = run_coverage_campaign(prog.as_ref(), FtOptions::default(), &cfg);
-    assert!(!r.results.is_empty(), "campaign ran no experiments");
-    (to_csv(&r), summary_json(&r).to_string())
+    let journal = tmp(&format!("invariant-{engine}-{threads}.jsonl"));
+    let r = run_orchestrated_campaign(
+        prog.as_ref(),
+        CampaignKind::Coverage(FtOptions::default()),
+        &cfg,
+        &OrchestratorConfig {
+            journal_path: Some(journal.clone()),
+            ..Default::default()
+        },
+    )
+    .expect("orchestrated campaign");
+    let meta = read_journal(&journal).unwrap().meta.expect("meta record");
+    let _ = std::fs::remove_file(&journal);
+    assert_eq!(r.profile.threads, threads as u64, "worker count that ran");
+    assert_eq!(meta.engine, engine.name(), "engine the journal recorded");
+    assert!(
+        !r.campaign.results.is_empty(),
+        "campaign ran no experiments"
+    );
+    (to_csv(&r.campaign), summary_json(&r.campaign).to_string())
 }
 
 #[test]
@@ -262,7 +279,7 @@ fn torn_meta_header_heals_on_resume() {
 
     // The resume appended a fresh meta; the healed journal now replays with
     // zero fresh execution.
-    let replay = hauberk_swifi::journal::read_journal(&cut_journal).unwrap();
+    let replay = read_journal(&cut_journal).unwrap();
     assert!(replay.meta.is_some(), "fresh meta appended on resume");
     assert_eq!(
         replay.dropped_lines, 1,
@@ -301,7 +318,7 @@ fn torn_checkpoint_record_heals_on_resume() {
     assert!(full.checkpoint.is_some(), "checkpoint store must build");
     {
         // Layout check: the record under tear really is the ckpt identity.
-        let replay = hauberk_swifi::journal::read_journal(&full_journal).unwrap();
+        let replay = read_journal(&full_journal).unwrap();
         let meta = replay.meta.expect("meta record");
         let ck = replay.ckpt.expect("ckpt record");
         assert_eq!(ck.identity, meta.checkpoint, "identity matches the meta");
@@ -324,7 +341,7 @@ fn torn_checkpoint_record_heals_on_resume() {
 
     // The identity record was re-appended: the healed journal carries it
     // again and replays with zero fresh execution.
-    let replay = hauberk_swifi::journal::read_journal(&cut_journal).unwrap();
+    let replay = read_journal(&cut_journal).unwrap();
     let meta = replay.meta.expect("meta record");
     let ck = replay.ckpt.expect("ckpt record re-appended on resume");
     assert_eq!(ck.identity, meta.checkpoint, "healed identity matches meta");
