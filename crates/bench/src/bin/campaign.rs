@@ -8,7 +8,7 @@
 //!          [--json] [--engine tree-walk|bytecode|batch] [--threads N]
 //!          [--shard-size N] [--journal PATH | --resume PATH]
 //!          [--adaptive] [--ci-width F] [--min-samples N]
-//!          [--max-retries N] [--shard I/M] [--profile] [--checkpoint]
+//!          [--max-retries N] [--shard I/M] [--profile]
 //! campaign merge-journals --out PATH <journal> [<journal> ...]
 //! campaign harden <program> [--budget F] [--budgets F,F,...] [--iterations N]
 //!          [--plan-out PATH] [--plan-in PATH] [--front-out PATH]
@@ -31,16 +31,17 @@
 //! * `--max-retries N` retries a panicking work unit N times before
 //!   quarantining it (default 2).
 //! * `--profile` prints the per-phase wall-time breakdown (plan / execute /
-//!   journal / classify / sample-decision) and any straggler work units
-//!   after the summary. The profile is also appended to the journal as a
-//!   trailing `"rec":"profile"` record when `--journal`/`--resume` is set.
-//! * `--checkpoint` shares one fault-free prefix across the campaign: a
-//!   single reference run captures a device snapshot at every block boundary
-//!   a planned fault targets, and each injection restores the snapshot
-//!   instead of re-executing from launch. The summary (and CSV) stays
-//!   byte-identical to full re-execution; the cycles-saved note goes to
-//!   stderr. Ineligible campaigns fall back to full re-execution with a
-//!   warning.
+//!   journal / classify / sample-decision), any straggler work units, and
+//!   the checkpoint note after the summary. The profile is also appended to
+//!   the journal as a trailing `"rec":"profile"` record when
+//!   `--journal`/`--resume` is set.
+//!
+//! Every campaign shares one fault-free prefix: a single reference run
+//! captures a device snapshot at every block boundary a planned fault
+//! targets, and each injection restores the snapshot instead of
+//! re-executing from launch. The summary (and CSV) is byte-identical to full
+//! re-execution. An ineligible campaign falls back to full re-execution;
+//! `--profile` names the reason, or else the boundaries and cycles saved.
 //!
 //! The `harden` subcommand closes the campaign → translator loop: it runs
 //! (or ingests, with `--baseline-journal`) a baseline sensitivity campaign,
@@ -53,7 +54,8 @@
 //!
 //! `--engine` and `--threads` only fill the campaign config: the engine runs
 //! every kernel of the campaign (or of `harden`), the thread count sizes the
-//! injection workers (0 = one per core). Neither changes a summary byte. A
+//! injection workers (0 = one per core). Neither changes a summary byte. An
+//! unknown flag (`--checkpoint` included: checkpointing has no switch), a
 //! numeric flag whose value is missing or does not parse, an unknown engine
 //! or program, and a malformed `--shard` or `--budgets` are refused with
 //! exit status 2.
@@ -72,6 +74,60 @@ use hauberk_swifi::sampler::AdaptiveConfig;
 use hauberk_telemetry::json::Json;
 use hauberk_telemetry::report::Emitter;
 use std::str::FromStr;
+
+/// `campaign <program>` flags that take a value.
+const VALUE_FLAGS: [&str; 15] = [
+    "--vars",
+    "--masks",
+    "--alpha",
+    "--csv",
+    "--trace-out",
+    "--progress",
+    "--engine",
+    "--threads",
+    "--shard-size",
+    "--journal",
+    "--resume",
+    "--ci-width",
+    "--min-samples",
+    "--max-retries",
+    "--shard",
+];
+
+/// `campaign <program>` flags that stand alone.
+const SWITCHES: [&str; 5] = [
+    "--sensitivity",
+    "--coverage",
+    "--json",
+    "--adaptive",
+    "--profile",
+];
+
+/// The program `campaign <program> ...` names (CP when omitted). An unknown
+/// flag or a second positional argument is refused with exit status 2 and
+/// the usage line.
+fn program_arg(args: &[String]) -> String {
+    let mut name = None;
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            i += 1; // its value
+        } else if !a.starts_with("--") && name.is_none() {
+            name = Some(a.to_string());
+        } else if !SWITCHES.contains(&a) {
+            eprintln!("campaign: unknown argument `{a}`");
+            eprintln!(
+                "usage: campaign <program> [{}] [{} <value>]",
+                SWITCHES.join("|"),
+                VALUE_FLAGS.join("|")
+            );
+            std::process::exit(2);
+        }
+        i += 1;
+    }
+    name.unwrap_or_else(|| "CP".to_string())
+}
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter()
@@ -293,11 +349,7 @@ fn main() {
         harden_main(&args);
         return;
     }
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "CP".to_string());
+    let name = program_arg(&args);
     let sensitivity = args.iter().any(|a| a == "--sensitivity");
     let json = args.iter().any(|a| a == "--json");
     let csv_path = arg_value(&args, "--csv");
@@ -344,10 +396,7 @@ fn main() {
         journal_path: journal_path.map(Into::into),
         resume_from: resume_from.map(Into::into),
         shard,
-        trace: None,
-        checkpoint: args.iter().any(|a| a == "--checkpoint"),
-        chaos: None,
-        stop: None,
+        ..Default::default()
     };
 
     let kind = if sensitivity {
@@ -368,23 +417,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Some(ck) = &sharded.checkpoint {
-        // Savings note on stderr, like the resume statistics: stdout is the
-        // summary, whose bytes must not depend on the execution mode.
-        let full = ck.reference_cycles.saturating_mul(ck.injections);
-        let actual = ck.reference_cycles + ck.executed_cycles;
-        eprintln!(
-            "checkpoint: {} boundaries over {} section(s); {}/{} injection(s) spliced; \
-             {} cycles simulated vs {} full re-execution ({:.1}x)",
-            ck.boundaries,
-            ck.sections,
-            ck.spliced,
-            ck.injections,
-            actual,
-            full,
-            full as f64 / actual.max(1) as f64
-        );
-    }
     if sharded.resumed_units > 0 || sharded.dropped_lines > 0 {
         // Resume statistics go to stderr, not the summary: the summary must
         // stay byte-identical to an uninterrupted run.
@@ -407,6 +439,29 @@ fn main() {
                 s.threshold_ns as f64 / 1e6
             ));
         }
+        let note = match (&sharded.checkpoint, &sharded.checkpoint_fallback) {
+            (Some(ck), _) => {
+                let full = ck.reference_cycles.saturating_mul(ck.injections);
+                let actual = ck.reference_cycles + ck.executed_cycles;
+                format!(
+                    "checkpoint: {} boundaries over {} section(s); {}/{} injection(s) \
+                     spliced; {} cycles simulated vs {} full re-execution ({:.1}x)",
+                    ck.boundaries,
+                    ck.sections,
+                    ck.spliced,
+                    ck.injections,
+                    actual,
+                    full,
+                    full as f64 / actual.max(1) as f64
+                )
+            }
+            (None, Some(reason)) => {
+                format!("checkpoint: off, full re-execution ({reason})")
+            }
+            (None, None) => "checkpoint: off".to_string(),
+        };
+        em.text(&note);
+        em.json_section("checkpoint", Json::str(note));
     }
     if let Some(path) = csv_path {
         std::fs::write(&path, to_csv(&sharded.campaign)).expect("write CSV");

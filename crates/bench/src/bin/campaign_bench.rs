@@ -150,17 +150,17 @@ fn main() {
             prog.as_ref(),
             CampaignKind::Sensitivity,
             &ck_cfg,
-            &OrchestratorConfig::default(),
+            &OrchestratorConfig {
+                checkpoint: false,
+                ..Default::default()
+            },
         )
         .expect("full re-execution campaign");
         let ck = run_orchestrated_campaign(
             prog.as_ref(),
             CampaignKind::Sensitivity,
             &ck_cfg,
-            &OrchestratorConfig {
-                checkpoint: true,
-                ..Default::default()
-            },
+            &OrchestratorConfig::default(),
         )
         .expect("checkpointed campaign");
         assert_eq!(

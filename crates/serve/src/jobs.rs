@@ -120,11 +120,6 @@ pub struct JobSpec {
     /// `"spans": false` drops the span layer for latency-critical
     /// submissions; `serve_bench` uses it to price the layer.
     pub spans: bool,
-    /// Run the campaign from a shared fault-free checkpoint (default
-    /// `false`): one reference run captures per-block snapshots and every
-    /// injection resumes from them. The result document is byte-identical
-    /// either way; ineligible campaigns fall back to full re-execution.
-    pub checkpoint: bool,
     /// `(index, modulus)`: execute only the strata this shard owns (the
     /// orchestrator's round-robin partition). Submitting shards `0..M` of
     /// one spec to independent daemons with a `state_dir` and merging their
@@ -170,7 +165,6 @@ impl Default for JobSpec {
             engine: None,
             trace: None,
             spans: true,
-            checkpoint: false,
             shard: None,
             priority: Priority::Normal,
             client: None,
@@ -214,7 +208,6 @@ impl JobSpec {
             "engine",
             "trace",
             "spans",
-            "checkpoint",
             "shard",
             "priority",
             "client",
@@ -267,9 +260,6 @@ impl JobSpec {
         }
         if let Some(v) = map.get("spans") {
             spec.spans = v.as_bool().ok_or("`spans` must be a boolean")?;
-        }
-        if let Some(v) = map.get("checkpoint") {
-            spec.checkpoint = v.as_bool().ok_or("`checkpoint` must be a boolean")?;
         }
         if let Some(v) = map.get("shard") {
             let index = v
@@ -445,9 +435,6 @@ impl JobSpec {
         if !self.spans {
             pairs.push(("spans", Json::Bool(false)));
         }
-        if self.checkpoint {
-            pairs.push(("checkpoint", Json::Bool(true)));
-        }
         if let Some((index, modulus)) = self.shard {
             pairs.push((
                 "shard",
@@ -514,7 +501,7 @@ impl JobSpec {
     /// key set excludes everything that only shapes scheduling or telemetry
     /// (`trace`, `spans`, `priority`, `client`, `cache`) and includes
     /// everything result-affecting (program, kind, seed, sizing, engine,
-    /// checkpoint, shard, hardening, ...).
+    /// shard, hardening, ...).
     pub fn cache_key(&self) -> String {
         const OBSERVATIONAL: &[&str] = &["trace", "spans", "priority", "client", "cache"];
         let mut doc = self.to_json();
@@ -573,7 +560,6 @@ impl JobSpec {
             max_retries: self.max_retries,
             chaos: self.chaos,
             trace: self.trace.clone(),
-            checkpoint: self.checkpoint,
             shard: self.shard,
             ..Default::default()
         }
@@ -922,20 +908,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_toggle_defaults_off_and_round_trips_on() {
-        let off = JobSpec::from_json(&parse(r#"{"program":"CP"}"#).unwrap()).unwrap();
-        assert!(!off.checkpoint);
-        assert!(!off.orchestrator_config().checkpoint);
-        assert!(!off.to_json().to_string().contains("checkpoint"));
-        let on =
-            JobSpec::from_json(&parse(r#"{"program":"CP","checkpoint":true}"#).unwrap()).unwrap();
-        assert!(on.checkpoint);
-        assert!(on.orchestrator_config().checkpoint);
-        let back = JobSpec::from_json(&on.to_json()).unwrap();
-        assert!(back.checkpoint);
-        let err =
-            JobSpec::from_json(&parse(r#"{"program":"CP","checkpoint":1}"#).unwrap()).unwrap_err();
-        assert!(err.contains("`checkpoint` must be a boolean"), "{err}");
+    fn checkpoint_field_is_refused_and_checkpointing_is_the_default() {
+        // Checkpointing is no longer a knob: every campaign runs
+        // checkpointed, and a spec that still names the field is refused
+        // like any other unknown field.
+        let spec = JobSpec::from_json(&parse(r#"{"program":"CP"}"#).unwrap()).unwrap();
+        assert!(spec.orchestrator_config().checkpoint);
+        assert!(!spec.to_json().to_string().contains("checkpoint"));
+        for v in ["true", "false"] {
+            let doc = format!(r#"{{"program":"CP","checkpoint":{v}}}"#);
+            let err = JobSpec::from_json(&parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains("unknown field `checkpoint`"), "{err}");
+        }
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! injection, across rayon workers), so the translator output is compiled
 //! once and shared via `Arc`. The cache key is the **printed kernel text**
 //! plus the cost model's debug rendering — string equality, deliberately not
-//! a hash, so a collision can never silently execute the wrong program.
+//! a hash, so a collision can never silently execute the wrong program. The
+//! batch engine's plan ([`compile_batch_cached`](crate::compile_batch_cached))
+//! lives in the same entry, so each kernel holds one key and one lowering.
 
 use crate::config::CostModel;
 use crate::interp::{hook_cost, hook_kind_name};
+use crate::vm_batch::BatchCompiled;
 use hauberk_kir::lower::{lower_kernel, LoweredKernel};
 use hauberk_kir::printer::print_kernel;
 use hauberk_kir::KernelDef;
@@ -51,14 +54,60 @@ pub fn compile(kernel: &KernelDef, cost: &CostModel) -> CompiledKernel {
     }
 }
 
-/// Cap on cached entries; property tests churn through thousands of generated
-/// kernels, and clearing wholesale is simpler (and rare enough) compared to
-/// an eviction policy.
-const CACHE_CAP: usize = 256;
+/// Cap on cached entries. A campaign's working set is one or two builds,
+/// so a small cap bounds resident memory without recompiling inside a
+/// campaign; past it the least recently used entry is evicted (property
+/// tests churn through thousands of generated kernels).
+const CACHE_CAP: usize = 32;
 
-fn cache() -> &'static Mutex<HashMap<String, Arc<CompiledKernel>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<CompiledKernel>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// One build-cache entry: a kernel's per-op compilation, plus the batch plan
+/// built on top of it once a batch-engine launch asks for one. Both engines
+/// share the entry, so a kernel is lowered once and keyed once.
+pub(crate) struct Builds {
+    /// The bytecode compilation.
+    pub(crate) compiled: Arc<CompiledKernel>,
+    /// The batch plan over `compiled` (built on first use).
+    pub(crate) batch: Option<Arc<BatchCompiled>>,
+    /// Lookup tick of the entry's last use (eviction order).
+    used: u64,
+}
+
+/// The build cache: entries keyed by cost model + kernel text, and the
+/// lookup counter that orders them by recency.
+#[derive(Default)]
+struct BuildCache {
+    tick: u64,
+    entries: HashMap<Box<str>, Builds>,
+}
+
+fn cache() -> &'static Mutex<BuildCache> {
+    static CACHE: OnceLock<Mutex<BuildCache>> = OnceLock::new();
+    CACHE.get_or_init(Mutex::default)
+}
+
+/// Run `f` on the build-cache entry of `kernel` under `cost`, compiling the
+/// bytecode half on a miss. The cache lock is held throughout, so every
+/// worker of a campaign shares one compilation.
+pub(crate) fn with_builds<T>(
+    kernel: &KernelDef,
+    cost: &CostModel,
+    f: impl FnOnce(&mut Builds) -> T,
+) -> T {
+    let key = format!("{:?}\u{0}{}", cost, print_kernel(kernel)).into_boxed_str();
+    let mut cache = hauberk_telemetry::lock_recover(cache());
+    cache.tick += 1;
+    let tick = cache.tick;
+    if cache.entries.len() >= CACHE_CAP && !cache.entries.contains_key(&key) {
+        let oldest = cache.entries.values().map(|b| b.used).min();
+        cache.entries.retain(|_, b| Some(b.used) != oldest);
+    }
+    let builds = cache.entries.entry(key).or_insert_with(|| Builds {
+        compiled: Arc::new(compile(kernel, cost)),
+        batch: None,
+        used: tick,
+    });
+    builds.used = tick;
+    f(builds)
 }
 
 /// Compile `kernel` through the process-wide build cache.
@@ -66,17 +115,7 @@ fn cache() -> &'static Mutex<HashMap<String, Arc<CompiledKernel>>> {
 /// Keyed by kernel text + cost model, so the same instrumented build is
 /// compiled once per campaign and shared across all rayon workers.
 pub fn compile_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<CompiledKernel> {
-    let key = format!("{:?}\u{0}{}", cost, print_kernel(kernel));
-    let mut map = hauberk_telemetry::lock_recover(cache());
-    if let Some(c) = map.get(&key) {
-        return Arc::clone(c);
-    }
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    let c = Arc::new(compile(kernel, cost));
-    map.insert(key, Arc::clone(&c));
-    c
+    with_builds(kernel, cost, |b| Arc::clone(&b.compiled))
 }
 
 /// Disassemble `kernel` as the bytecode engine would execute it (the

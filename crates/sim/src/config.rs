@@ -12,12 +12,13 @@ use crate::stats::OpClass;
 ///   directly. Slow, obviously correct; the reference oracle.
 /// * [`Bytecode`](ExecEngine::Bytecode) runs flat register bytecode compiled
 ///   once per kernel (see `hauberk-kir::lower` and the `bytecode`/`vm`
-///   modules). The default for campaigns.
+///   modules), one op at a time. Kept for the differential suites and the
+///   benchmark's engine ledger.
 /// * [`Batch`](ExecEngine::Batch) runs the same bytecode with a batch plan:
 ///   full-mask straight-line regions execute as lane-blocked micro-ops with
 ///   precomputed cycle-charge tables (see `hauberk-kir::batch` and the
 ///   `vm_batch` module), falling back to the per-op VM at any
-///   divergence/barrier/atomic boundary. The fastest tier.
+///   divergence/barrier/atomic boundary. The fastest tier and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// The tree-walking reference interpreter.
@@ -69,7 +70,7 @@ impl std::fmt::Display for ExecEngine {
 /// engine sets [`DeviceConfig::engine`] itself; campaigns carry theirs on
 /// their config.
 pub fn default_engine() -> ExecEngine {
-    ExecEngine::Bytecode
+    ExecEngine::Batch
 }
 
 /// Per-operation-class issue costs and pairing rules.

@@ -151,34 +151,28 @@ impl Device {
             blocks: launch.grid.0 as u64 * launch.grid.1 as u64,
             threads: launch.total_threads(),
         });
-        // The launch span nests under whatever the caller has open (a
-        // campaign work unit, typically) and records engine-tier timing:
-        // which backend ran, prepare vs. warp-execution nanoseconds.
-        let mut span = tele.span("launch");
-        span.attr_with("kernel", || kernel.name.clone());
-        span.attr("engine", self.config.engine.name());
-        span.attr_with("launch_id", || launch_id.to_string());
+        let mut span = self.launch_span(&tele, kernel, launch_id);
         let out = self.launch_inner(kernel, args, launch, runtime, &tele, launch_id, &mut span);
-        span.attr(
-            "outcome",
-            match &out {
-                LaunchOutcome::Completed(_) => "completed",
-                LaunchOutcome::Crash { .. } => "crash",
-                LaunchOutcome::Hang { .. } => "hang",
-            },
-        );
+        span.attr("outcome", out.label());
         drop(span);
         tele.emit_with(|| Event::KernelExit {
             launch_id,
             kernel: kernel.name.clone(),
-            outcome: match &out {
-                LaunchOutcome::Completed(_) => "completed",
-                LaunchOutcome::Crash { .. } => "crash",
-                LaunchOutcome::Hang { .. } => "hang",
-            },
+            outcome: out.label(),
             snapshot: out.stats().into(),
         });
         out
+    }
+
+    /// Open the `launch` span. It nests under whatever the caller has open
+    /// (a campaign work unit, typically) and records engine-tier timing:
+    /// which backend ran, prepare vs. warp-execution nanoseconds.
+    fn launch_span(&self, tele: &Telemetry, kernel: &KernelDef, launch_id: u64) -> SpanGuard {
+        let mut span = tele.span("launch");
+        span.attr_with("kernel", || kernel.name.clone());
+        span.attr("engine", self.config.engine.name());
+        span.attr_with("launch_id", || launch_id.to_string());
+        span
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -481,53 +475,109 @@ impl Device {
                 total_blocks: total,
             });
         }
+        let tele = self.telemetry.clone();
+        let launch_id = if tele.enabled() { next_launch_id() } else { 0 };
+        let mut span = self.launch_span(&tele, kernel, launch_id);
+        let run = self.resume_inner(
+            kernel,
+            args,
+            launch,
+            runtime,
+            snap,
+            (fence, expected_fp),
+            &tele,
+            launch_id,
+            &mut span,
+        );
+        let (outcome, spliced) = match &run {
+            Spliced::Ran(out) => (out.label(), "false"),
+            // Only a completed reference has fence fingerprints to match.
+            Spliced::Reconverged { .. } => ("completed", "true"),
+        };
+        span.attr("outcome", outcome);
+        span.attr("spliced", spliced);
+        Ok(run)
+    }
+
+    /// The body of [`Device::resume_spliced`] under its open `launch` span:
+    /// besides the attributes [`Device::launch`] records, it times the
+    /// snapshot restore (`restore_ns`), and `warps` counts only the warps
+    /// this resumed launch executed.
+    #[allow(clippy::too_many_arguments)]
+    fn resume_inner(
+        &mut self,
+        kernel: &KernelDef,
+        args: &[Value],
+        launch: &Launch,
+        runtime: &mut dyn HookRuntime,
+        snap: &Snapshot,
+        (fence, expected_fp): (u32, u64),
+        tele: &Telemetry,
+        launch_id: u64,
+        span: &mut SpanGuard,
+    ) -> Spliced {
         if let Err(out) = self.validate_launch(kernel, args) {
-            return Ok(Spliced::Ran(out));
+            return Spliced::Ran(out);
         }
         let backend = self.config.engine.backend();
+        let timed = span.active();
+        let t_prepare = timed.then(Instant::now);
         let prepared = backend.prepare(kernel, &self.config);
-        let tele = self.telemetry.clone();
-
+        if let Some(t) = t_prepare {
+            span.attr_with("prepare_ns", || (t.elapsed().as_nanos() as u64).to_string());
+        }
+        let t_restore = timed.then(Instant::now);
         self.mem = snap.mem.clone();
         let mut st = LaunchState {
             stats: snap.stats.clone(),
             sm_cycles: snap.sm_cycles.clone(),
             budget: snap.budget,
         };
-        macro_rules! ctx {
-            () => {
-                RunCtx {
-                    kernel,
-                    args,
-                    launch,
-                    runtime: &mut *runtime,
-                    tele: &tele,
-                    launch_id: 0,
-                    backend,
-                    prepared: &prepared,
-                }
+        if let Some(t) = t_restore {
+            span.attr_with("restore_ns", || (t.elapsed().as_nanos() as u64).to_string());
+        }
+        let mut exec_ns = 0u64;
+        macro_rules! run_blocks {
+            ($from:expr, $to:expr) => {
+                self.run_block_range(
+                    RunCtx {
+                        kernel,
+                        args,
+                        launch,
+                        runtime: &mut *runtime,
+                        tele,
+                        launch_id,
+                        backend,
+                        prepared: &prepared,
+                    },
+                    &mut st,
+                    $from,
+                    $to,
+                    timed.then_some(&mut exec_ns),
+                )
             };
         }
 
+        let total = launch.total_blocks();
         let splice_at = (fence < total).then_some(fence.max(snap.next_block));
-        if let Some(f) = splice_at {
-            if let Some(early) = self.run_block_range(ctx!(), &mut st, snap.next_block, f, None) {
-                return Ok(Spliced::Ran(early));
-            }
-            if self.state_fingerprint(&st, &*runtime) == Some(expected_fp) {
-                return Ok(Spliced::Reconverged {
-                    executed_cycles: st.stats.work_cycles - snap.stats.work_cycles,
-                });
-            }
-            if let Some(early) = self.run_block_range(ctx!(), &mut st, f, total, None) {
-                return Ok(Spliced::Ran(early));
-            }
-        } else if let Some(early) =
-            self.run_block_range(ctx!(), &mut st, snap.next_block, total, None)
-        {
-            return Ok(Spliced::Ran(early));
+        let stop = splice_at.unwrap_or(total);
+        let mut early = run_blocks!(snap.next_block, stop);
+        let reconverged = early.is_none()
+            && splice_at.is_some()
+            && self.state_fingerprint(&st, &*runtime) == Some(expected_fp);
+        if early.is_none() && !reconverged {
+            early = run_blocks!(stop, total);
         }
-        Ok(Spliced::Ran(st.complete()))
+        if timed {
+            span.attr_with("exec_ns", || exec_ns.to_string());
+            span.attr_with("warps", || (st.stats.warps - snap.stats.warps).to_string());
+        }
+        if reconverged {
+            return Spliced::Reconverged {
+                executed_cycles: st.stats.work_cycles - snap.stats.work_cycles,
+            };
+        }
+        Spliced::Ran(early.unwrap_or_else(|| st.complete()))
     }
 
     /// Snapshot the current launch state at boundary `next_block`.

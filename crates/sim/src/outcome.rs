@@ -97,6 +97,15 @@ impl LaunchOutcome {
         }
     }
 
+    /// Stable telemetry label: `completed`, `crash` or `hang`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            LaunchOutcome::Completed(_) => "completed",
+            LaunchOutcome::Crash { .. } => "crash",
+            LaunchOutcome::Hang { .. } => "hang",
+        }
+    }
+
     /// The stats if the launch completed.
     pub fn completed_stats(&self) -> Option<&ExecStats> {
         match self {

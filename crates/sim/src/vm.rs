@@ -844,24 +844,25 @@ impl<'a> VmExec<'a> {
                     .any(|&e| self.producer[e as usize] == self.pipe.last_tag);
             r.table[table_idx(dep0, self.pipe.last_class, self.pipe.last_paired)]
         };
-        if *self.budget < entry.cycles {
+        let cycles = u64::from(entry.cycles);
+        if *self.budget < cycles {
             return None;
         }
         // Cycle plane: exactly the sum of what per-op `charge_op` calls
         // would have charged (each per-op budget check passes because the
         // running budget only shrinks and the total fits).
-        self.stats.work_cycles += entry.cycles;
+        self.stats.work_cycles += cycles;
         if self.loop_depth > 0 {
-            self.stats.loop_cycles += entry.cycles;
+            self.stats.loop_cycles += cycles;
         }
-        *self.budget -= entry.cycles;
-        self.stats.paired_ops += entry.paired;
+        *self.budget -= cycles;
+        self.stats.paired_ops += u64::from(entry.paired);
         for i in 0..5 {
-            self.stats.class_counts[i] += r.class_deltas[i];
+            self.stats.class_counts[i] += u64::from(r.class_deltas[i]);
         }
         let tag0 = self.pipe.next_tag;
         if r.n_charges > 0 {
-            self.pipe.next_tag += r.n_charges;
+            self.pipe.next_tag += Tag::from(r.n_charges);
             self.pipe.last_tag = self.pipe.next_tag - 1;
             self.pipe.last_class = Some(r.exit_class);
             self.pipe.last_paired = entry.exit_paired;

@@ -10,7 +10,9 @@
 //!   region plan (straight-line runs of ops with an infallible lane-blocked
 //!   implementation), and builds one `RegionExec` per region: a micro-op
 //!   program for the data plane plus a 24-entry **charge table** for the
-//!   cycle plane;
+//!   cycle plane (8 bytes an entry: a region whose charge would not fit the
+//!   narrow entry under the device's cost model is not planned and runs
+//!   per-op);
 //! * the charge table is indexed by the only dynamic inputs the shared
 //!   [`charge_op`](crate::interp) accounting has at region entry — whether
 //!   the first charging op depends on the previous op (2) × the previous
@@ -36,18 +38,15 @@
 //! breakers executed by the per-op path, and the region machinery resumes at
 //! the next op.
 
-use crate::bytecode::{compile_cached, CompiledKernel};
+use crate::bytecode::{compile, with_builds, CompiledKernel};
 use crate::config::CostModel;
 use crate::interp::bin_class;
 use crate::stats::OpClass;
 use crate::vm::call_class;
 use hauberk_kir::batch::{is_charging, plan_batches, TagSrc};
 use hauberk_kir::lower::{LoweredKernel, Op};
-use hauberk_kir::printer::print_kernel;
 use hauberk_kir::{BinOp, KernelDef, MathFn, PrimTy, Ty, UnOp};
-use hauberk_telemetry::lock_recover;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Sentinel for "no region starts at this pc" (mirrors
 /// `hauberk_kir::batch::NO_REGION`).
@@ -171,7 +170,7 @@ pub(crate) enum MicroOp {
         d: u32,
         a: u32,
         b: u32,
-        esz: i64,
+        esz: i32,
         neg: bool,
         it: PrimTy,
     },
@@ -275,7 +274,7 @@ pub(crate) fn micro_of(op: &Op) -> Option<MicroOp> {
                         d,
                         a,
                         b,
-                        esz: elem.size_bytes() as i64,
+                        esz: elem.size_bytes() as i32,
                         neg: *op == Sub,
                         it: *it,
                     });
@@ -390,13 +389,15 @@ fn charge_class(op: &Op) -> OpClass {
 }
 
 /// One precomputed charge-table entry: the cycle/pairing outcome of running a
-/// region's whole charge sequence from one entry pipeline state.
+/// region's whole charge sequence from one entry pipeline state. Narrow on
+/// purpose (8 bytes): [`build_table`] refuses a region whose totals do not
+/// fit, and that region runs per-op.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChargeEntry {
     /// Total cycles charged (sum of unpaired ops' class costs).
-    pub(crate) cycles: u64,
+    pub(crate) cycles: u32,
     /// Number of ops that co-issued (each adds to `stats.paired_ops`).
-    pub(crate) paired: u64,
+    pub(crate) paired: u16,
     /// `pipe.last_paired` after the region.
     pub(crate) exit_paired: bool,
 }
@@ -412,8 +413,13 @@ pub(crate) fn table_idx(dep0: bool, entry_class: Option<OpClass>, entry_paired: 
 }
 
 /// Simulate the shared `charge_op` pairing automaton over the region's
-/// charging ops for every possible entry state.
-fn build_table(classes: &[OpClass], dep_static: &[bool], cost: &CostModel) -> [ChargeEntry; 24] {
+/// charging ops for every possible entry state. `None` when some entry's
+/// totals overflow [`ChargeEntry`]'s narrow fields.
+fn build_table(
+    classes: &[OpClass],
+    dep_static: &[bool],
+    cost: &CostModel,
+) -> Option<[ChargeEntry; 24]> {
     let entry_classes = [
         None,
         Some(OpClass::IAlu),
@@ -442,20 +448,20 @@ fn build_table(classes: &[OpClass], dep_static: &[bool], cost: &CostModel) -> [C
                     if pairable {
                         paired += 1;
                     } else {
-                        cycles += cost.class_cost(class);
+                        cycles = cycles.checked_add(cost.class_cost(class))?;
                     }
                     last_paired = pairable;
                     last_class = Some(class);
                 }
                 table[table_idx(dep0, entry_class, entry_paired)] = ChargeEntry {
-                    cycles,
-                    paired,
+                    cycles: u32::try_from(cycles).ok()?,
+                    paired: u16::try_from(paired).ok()?,
                     exit_paired: last_paired,
                 };
             }
         }
     }
-    table
+    Some(table)
 }
 
 /// One executable region: data plane (micro-ops) + cycle plane (charge table
@@ -464,19 +470,19 @@ fn build_table(classes: &[OpClass], dep_static: &[bool], cost: &CostModel) -> [C
 pub(crate) struct RegionExec {
     /// One past the last op (the pc to resume per-op dispatch at).
     pub(crate) end: u32,
-    /// The lane-blocked data plane.
-    pub(crate) micro: Vec<MicroOp>,
     /// Number of charging ops (tag-counter advance).
-    pub(crate) n_charges: u64,
+    pub(crate) n_charges: u32,
     /// Per-class op-count deltas (`stats.class_counts`).
-    pub(crate) class_deltas: [u64; 5],
+    pub(crate) class_deltas: [u32; 5],
     /// Class of the last charging op (`pipe.last_class` after the region;
     /// meaningless when `n_charges == 0`).
     pub(crate) exit_class: OpClass,
+    /// The lane-blocked data plane.
+    pub(crate) micro: Box<[MicroOp]>,
     /// Entry registers whose producer tags feed the first charging op.
-    pub(crate) first_dep_entries: Vec<u32>,
+    pub(crate) first_dep_entries: Box<[u32]>,
     /// Producer-tag write-back program.
-    pub(crate) writeback: Vec<(u32, TagSrc)>,
+    pub(crate) writeback: Box<[(u32, TagSrc)]>,
     /// The 24-entry charge table.
     pub(crate) table: [ChargeEntry; 24],
 }
@@ -497,42 +503,42 @@ impl BatchKernel {
     }
 }
 
-/// Plan and compile the batch tier for an already-lowered kernel.
+/// Plan and compile the batch tier for an already-lowered kernel. A planned
+/// region whose charge table does not fit [`ChargeEntry`] under `cost` is
+/// dropped from the plan, so its ops run per-op.
 pub(crate) fn build_batch(lowered: &LoweredKernel, cost: &CostModel) -> BatchKernel {
     let plan = plan_batches(lowered, &|op| micro_of(op).is_some());
-    let regions = plan
-        .regions
-        .iter()
-        .map(|r| {
-            let mut micro = Vec::with_capacity((r.end - r.start) as usize);
-            let mut classes = Vec::new();
-            let mut class_deltas = [0u64; 5];
-            for op in &lowered.code[r.start as usize..r.end as usize] {
-                micro.push(micro_of(op).expect("planned op is batchable"));
-                if is_charging(op) {
-                    let class = charge_class(op);
-                    class_deltas[class.idx()] += 1;
-                    classes.push(class);
-                }
-            }
-            debug_assert_eq!(classes.len(), r.n_charges as usize);
-            let table = build_table(&classes, &r.dep_static, cost);
-            RegionExec {
-                end: r.end,
-                micro,
-                n_charges: r.n_charges as u64,
-                class_deltas,
-                exit_class: classes.last().copied().unwrap_or(OpClass::IAlu),
-                first_dep_entries: r.first_dep_entries.clone(),
-                writeback: r.writeback.clone(),
-                table,
-            }
-        })
-        .collect();
-    BatchKernel {
-        regions,
-        region_at: plan.region_at,
+    let mut regions = Vec::with_capacity(plan.regions.len());
+    let mut region_at = vec![NO_REGION; plan.region_at.len()];
+    for r in &plan.regions {
+        let ops = &lowered.code[r.start as usize..r.end as usize];
+        let mut classes = Vec::new();
+        let mut class_deltas = [0u32; 5];
+        for op in ops.iter().filter(|op| is_charging(op)) {
+            let class = charge_class(op);
+            class_deltas[class.idx()] += 1;
+            classes.push(class);
+        }
+        debug_assert_eq!(classes.len(), r.n_charges as usize);
+        let Some(table) = build_table(&classes, &r.dep_static, cost) else {
+            continue;
+        };
+        region_at[r.start as usize] = regions.len() as u32;
+        regions.push(RegionExec {
+            end: r.end,
+            n_charges: r.n_charges,
+            class_deltas,
+            exit_class: classes.last().copied().unwrap_or(OpClass::IAlu),
+            micro: ops
+                .iter()
+                .map(|op| micro_of(op).expect("planned op is batchable"))
+                .collect(),
+            first_dep_entries: r.first_dep_entries.as_slice().into(),
+            writeback: r.writeback.as_slice().into(),
+            table,
+        });
     }
+    BatchKernel { regions, region_at }
 }
 
 /// A bytecode compilation plus its batch plan. The bytecode half is shared
@@ -548,33 +554,25 @@ pub struct BatchCompiled {
 
 /// Compile `kernel` for the batch engine (uncached).
 pub fn compile_batch(kernel: &KernelDef, cost: &CostModel) -> BatchCompiled {
-    let compiled = compile_cached(kernel, cost);
+    let compiled = Arc::new(compile(kernel, cost));
     let batch = build_batch(&compiled.lowered, cost);
     BatchCompiled { compiled, batch }
 }
 
-/// Cap on cached batch compilations (mirrors the bytecode build cache).
-const CACHE_CAP: usize = 256;
-
-fn cache() -> &'static Mutex<HashMap<String, Arc<BatchCompiled>>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<BatchCompiled>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Compile `kernel` for the batch engine through the process-wide cache
-/// (keyed like [`compile_cached`]: kernel text + cost model).
+/// Compile `kernel` for the batch engine through the process-wide build
+/// cache. The batch plan lives in the same entry as the kernel's bytecode
+/// compilation ([`compile_cached`](crate::compile_cached)), so both engines
+/// share one lowering and one key.
 pub fn compile_batch_cached(kernel: &KernelDef, cost: &CostModel) -> Arc<BatchCompiled> {
-    let key = format!("{:?}\u{0}{}", cost, print_kernel(kernel));
-    let mut map = lock_recover(cache());
-    if let Some(c) = map.get(&key) {
-        return Arc::clone(c);
-    }
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    let c = Arc::new(compile_batch(kernel, cost));
-    map.insert(key, Arc::clone(&c));
-    c
+    with_builds(kernel, cost, |b| {
+        let compiled = &b.compiled;
+        Arc::clone(b.batch.get_or_insert_with(|| {
+            Arc::new(BatchCompiled {
+                compiled: Arc::clone(compiled),
+                batch: build_batch(&compiled.lowered, cost),
+            })
+        }))
+    })
 }
 
 // -- data plane --------------------------------------------------------------
@@ -801,7 +799,7 @@ pub(crate) fn run_micro_ops(regs: &mut [u32], w: usize, n: usize, ops: &[MicroOp
                 if neg {
                     i = -i;
                 }
-                (x as i64).wrapping_add(i.wrapping_mul(esz)) as u32
+                (x as i64).wrapping_add(i.wrapping_mul(esz as i64)) as u32
             }),
         }
     }
@@ -846,43 +844,71 @@ mod tests {
     use hauberk_kir::builder::KernelBuilder;
     use hauberk_kir::{Expr, PrimTy as P, Ty};
 
+    /// A table entry's `(cycles, paired)` widened for comparison with the
+    /// cost model.
+    fn charged(e: ChargeEntry) -> (u64, u64) {
+        (e.cycles.into(), e.paired.into())
+    }
+
     #[test]
     fn charge_table_pairs_cross_class_independent_ops() {
         let cost = CostModel::default();
         // IAlu then FAlu, independent: the second op pairs (cost 0).
-        let t = build_table(&[OpClass::IAlu, OpClass::FAlu], &[false, false], &cost);
+        let t = build_table(&[OpClass::IAlu, OpClass::FAlu], &[false, false], &cost).unwrap();
         let e = t[table_idx(false, None, false)];
-        assert_eq!(e.cycles, cost.ialu);
-        assert_eq!(e.paired, 1);
+        assert_eq!(charged(e), (cost.ialu, 1));
         assert!(e.exit_paired);
         // Same ops but dependent: both charge.
-        let t = build_table(&[OpClass::IAlu, OpClass::FAlu], &[false, true], &cost);
+        let t = build_table(&[OpClass::IAlu, OpClass::FAlu], &[false, true], &cost).unwrap();
         let e = t[table_idx(false, None, false)];
-        assert_eq!(e.cycles, cost.ialu + cost.falu);
-        assert_eq!(e.paired, 0);
+        assert_eq!(charged(e), (cost.ialu + cost.falu, 0));
     }
 
     #[test]
     fn charge_table_honors_entry_state() {
         let cost = CostModel::default();
-        let t = build_table(&[OpClass::FAlu], &[false], &cost);
+        let t = build_table(&[OpClass::FAlu], &[false], &cost).unwrap();
         // Entering after an independent IAlu op that did not pair: pairs.
         let e = t[table_idx(false, Some(OpClass::IAlu), false)];
-        assert_eq!((e.cycles, e.paired), (0, 1));
+        assert_eq!(charged(e), (0, 1));
         // Entering dependent on the previous op: charges.
         let e = t[table_idx(true, Some(OpClass::IAlu), false)];
-        assert_eq!((e.cycles, e.paired), (cost.falu, 0));
+        assert_eq!(charged(e), (cost.falu, 0));
         // Previous op already co-issued: pairing is at most two-wide.
         let e = t[table_idx(false, Some(OpClass::IAlu), true)];
-        assert_eq!((e.cycles, e.paired), (cost.falu, 0));
+        assert_eq!(charged(e), (cost.falu, 0));
         // Entering after a Ctl op: control blocks co-issue.
         let e = t[table_idx(false, Some(OpClass::Ctl), false)];
-        assert_eq!((e.cycles, e.paired), (cost.falu, 0));
+        assert_eq!(charged(e), (cost.falu, 0));
     }
 
     #[test]
-    fn spin_kernel_compiles_to_regions() {
-        let mut b = KernelBuilder::new("spin");
+    fn charge_table_refuses_totals_that_do_not_fit() {
+        let wide = CostModel {
+            falu: 1 << 32,
+            ..CostModel::default()
+        };
+        assert!(build_table(&[OpClass::FAlu], &[false], &wide).is_none());
+        // A cost that overflows `u64` itself is refused, never a panic.
+        let huge = CostModel {
+            falu: u64::MAX,
+            ..CostModel::default()
+        };
+        let chain = [OpClass::FAlu, OpClass::FAlu];
+        assert!(build_table(&chain, &[false, true], &huge).is_none());
+        // The largest cost that fits is kept.
+        let edge = CostModel {
+            falu: u32::MAX.into(),
+            ..CostModel::default()
+        };
+        let t = build_table(&[OpClass::FAlu], &[false], &edge).unwrap();
+        assert_eq!(t[table_idx(true, None, false)].cycles, u32::MAX);
+    }
+
+    /// An FP chain in a loop: the batch planner turns the body into a
+    /// multi-charge region.
+    fn spin_kernel(name: &str) -> KernelDef {
+        let mut b = KernelBuilder::new(name);
         let out = b.param("out", Ty::global_ptr(P::F32));
         let n = b.param("n", Ty::I32);
         let acc = b.let_("acc", Ty::F32, Expr::f32(0.0));
@@ -894,8 +920,12 @@ mod tests {
             );
         });
         b.store(Expr::var(out), Expr::i32(0), Expr::var(acc));
-        let k = b.finish();
-        let bc = compile_batch(&k, &CostModel::default());
+        b.finish()
+    }
+
+    #[test]
+    fn spin_kernel_compiles_to_regions() {
+        let bc = compile_batch(&spin_kernel("spin"), &CostModel::default());
         assert!(bc.batch.n_regions() > 0);
         // The loop body's FP chain forms a region with ≥2 charges.
         assert!(
@@ -914,6 +944,73 @@ mod tests {
         let a = compile_batch_cached(&k, &cost);
         let b2 = compile_batch_cached(&k, &cost);
         assert!(Arc::ptr_eq(&a, &b2));
+    }
+
+    /// Batch and bytecode compilations of one kernel live in one cache
+    /// entry: whichever engine asks first, the other gets the same
+    /// bytecode half.
+    #[test]
+    fn batch_and_bytecode_share_one_cache_entry() {
+        let cost = CostModel::default();
+        let k = spin_kernel("share-bytecode-first");
+        let per_op = crate::compile_cached(&k, &cost);
+        assert!(Arc::ptr_eq(
+            &per_op,
+            &compile_batch_cached(&k, &cost).compiled
+        ));
+        let k = spin_kernel("share-batch-first");
+        let batch = compile_batch_cached(&k, &cost);
+        assert!(Arc::ptr_eq(
+            &batch.compiled,
+            &crate::compile_cached(&k, &cost)
+        ));
+    }
+
+    /// Under a cost model whose FP charge overflows a table entry, no region
+    /// holding an FP op is planned, and the batch engine still matches the
+    /// tree walker exactly: stats and output.
+    #[test]
+    fn overflowing_cost_model_runs_per_op_and_matches_the_oracle() {
+        use crate::{Device, DeviceConfig, ExecEngine, Launch, NullRuntime};
+        use hauberk_kir::Value;
+
+        let cost = CostModel {
+            falu: 1 << 32,
+            ..CostModel::default()
+        };
+        let k = spin_kernel("overflow");
+        let plain = compile_batch(&k, &CostModel::default());
+        assert!(plain
+            .batch
+            .regions
+            .iter()
+            .any(|r| r.class_deltas[OpClass::FAlu.idx()] > 0));
+        let wide = compile_batch(&k, &cost);
+        assert!(wide
+            .batch
+            .regions
+            .iter()
+            .all(|r| r.class_deltas[OpClass::FAlu.idx()] == 0));
+        assert!(wide.batch.n_regions() < plain.batch.n_regions());
+
+        let run = |engine: ExecEngine| {
+            let mut dev = Device::new(DeviceConfig {
+                cost: cost.clone(),
+                engine,
+                ..DeviceConfig::small_gpu()
+            });
+            let out = dev.alloc(P::F32, 1);
+            let launch = Launch::grid1d(2, 32).with_budget(u64::MAX);
+            let res = dev.launch(
+                &k,
+                &[Value::Ptr(out), Value::I32(6)],
+                &launch,
+                &mut NullRuntime,
+            );
+            assert!(res.is_completed(), "{engine}: {res:?}");
+            (res.stats().clone(), dev.mem.copy_out_f32(out, 1))
+        };
+        assert_eq!(run(ExecEngine::Batch), run(ExecEngine::TreeWalk));
     }
 
     #[test]

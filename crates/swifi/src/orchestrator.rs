@@ -80,7 +80,7 @@ pub struct ChaosConfig {
 }
 
 /// Orchestration parameters, on top of a [`CampaignConfig`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
     /// Injections per work unit (0 = default 32). Smaller units checkpoint
     /// and adapt at finer grain but journal more records.
@@ -102,9 +102,12 @@ pub struct OrchestratorConfig {
     /// Execute injections from a shared fault-free checkpoint
     /// ([`crate::checkpoint`]): one reference run captures per-block
     /// snapshots, each injection restores and executes only its own block.
-    /// Summaries are byte-identical either way; only simulated cycles drop.
-    /// Falls back to full re-execution (with a stderr warning) when the
-    /// campaign is ineligible.
+    /// On by default; an ineligible campaign falls back to full
+    /// re-execution and says why in
+    /// [`ShardedCampaignResult::checkpoint_fallback`]. Summaries are
+    /// byte-identical either way, so `false` exists only as the full
+    /// re-execution oracle the differential suites and `campaign_bench`
+    /// compare against.
     pub checkpoint: bool,
     /// Test-only failure injection for the retry/quarantine path.
     pub chaos: Option<ChaosConfig>,
@@ -123,6 +126,25 @@ pub struct OrchestratorConfig {
 /// maps the former to a `canceled` job phase, not `failed`) match on this.
 pub const CANCELED: &str = "campaign canceled at a work-unit boundary";
 
+impl Default for OrchestratorConfig {
+    /// Exhaustive and checkpointed, no journal, no retries, default unit
+    /// size.
+    fn default() -> Self {
+        OrchestratorConfig {
+            shard_size: 0,
+            adaptive: None,
+            max_retries: 0,
+            journal_path: None,
+            resume_from: None,
+            shard: None,
+            trace: None,
+            checkpoint: true,
+            chaos: None,
+            stop: None,
+        }
+    }
+}
+
 impl OrchestratorConfig {
     /// Default injections per work unit.
     pub const DEFAULT_SHARD_SIZE: usize = 32;
@@ -131,7 +153,7 @@ impl OrchestratorConfig {
     pub const DEFAULT_MAX_RETRIES: u32 = 2;
 
     /// Config with explicit defaults (shard size 32, 2 retries, exhaustive,
-    /// no journal).
+    /// checkpointed, no journal).
     pub fn exhaustive() -> Self {
         OrchestratorConfig {
             shard_size: Self::DEFAULT_SHARD_SIZE,
@@ -220,6 +242,11 @@ pub struct ShardedCampaignResult {
     /// Checkpoint savings ledger, when the campaign ran from a shared
     /// fault-free checkpoint (struct-only, never serialized).
     pub checkpoint: Option<CheckpointStats>,
+    /// Why the campaign fell back to full re-execution although
+    /// checkpointing was requested: the store's ineligibility reason, also
+    /// recorded as the `checkpoint_fallback` attribute of the `campaign`
+    /// span. Struct-only, like the profile.
+    pub checkpoint_fallback: Option<String>,
     /// Per-section outcome tallies: the executed injections grouped by the
     /// kernel section their fault window falls in. Composing these recovers
     /// the campaign totals exactly (every plan maps to at most one section).
@@ -359,7 +386,9 @@ pub fn run_orchestrated_campaign_traced(
 
     // Build the shared checkpoint store before the journal meta: whether the
     // build succeeds decides the campaign's checkpoint identity. Ineligible
-    // campaigns degrade to full re-execution rather than failing.
+    // campaigns degrade to full re-execution rather than failing, and keep
+    // the reason on the result and the campaign span.
+    let mut checkpoint_fallback = None;
     let store = if orch.checkpoint {
         match CheckpointStore::build(&env, prog) {
             Ok(s) => {
@@ -369,10 +398,8 @@ pub fn run_orchestrated_campaign_traced(
                 Some(s)
             }
             Err(e) => {
-                eprintln!(
-                    "warning: checkpointing ineligible for this campaign \
-                     ({e}); falling back to full re-execution"
-                );
+                campaign_span.attr_with("checkpoint_fallback", || e.clone());
+                checkpoint_fallback = Some(e);
                 None
             }
         }
@@ -758,6 +785,7 @@ pub fn run_orchestrated_campaign_traced(
             reference_cycles: s.reference_cycles,
             executed_cycles: s.executed_cycles.load(std::sync::atomic::Ordering::Relaxed),
         }),
+        checkpoint_fallback,
         section_outcomes,
         records,
     })
@@ -1211,18 +1239,18 @@ mod tests {
             CampaignKind::Sensitivity,
             CampaignKind::Coverage(FtOptions::default()),
         ] {
-            let full = run_orchestrated_campaign(&prog, kind, &cfg, &OrchestratorConfig::default())
-                .unwrap();
-            let ck = run_orchestrated_campaign(
+            let full = run_orchestrated_campaign(
                 &prog,
                 kind,
                 &cfg,
                 &OrchestratorConfig {
-                    checkpoint: true,
+                    checkpoint: false,
                     ..Default::default()
                 },
             )
             .unwrap();
+            let ck = run_orchestrated_campaign(&prog, kind, &cfg, &OrchestratorConfig::default())
+                .unwrap();
             assert_eq!(full.summary_json(), ck.summary_json());
             assert_eq!(full.summarize(), ck.summarize());
             assert_eq!(report::to_csv(&full.campaign), report::to_csv(&ck.campaign));
@@ -1239,8 +1267,10 @@ mod tests {
             let total: usize = ck.section_outcomes.iter().map(|s| s.counts.total()).sum();
             assert_eq!(total, ck.executed as usize);
             assert!(ck.section_outcomes.iter().all(|s| s.section.is_some()));
-            // The plain run carries sections but no checkpoint ledger.
+            // The plain run carries sections but no checkpoint ledger, and
+            // neither run fell back.
             assert!(full.checkpoint.is_none());
+            assert!(full.checkpoint_fallback.is_none() && ck.checkpoint_fallback.is_none());
         }
     }
 
@@ -1258,7 +1288,6 @@ mod tests {
             &cfg,
             &OrchestratorConfig {
                 journal_path: Some(journal.clone()),
-                checkpoint: true,
                 ..Default::default()
             },
         )
@@ -1279,6 +1308,7 @@ mod tests {
             &cfg,
             &OrchestratorConfig {
                 resume_from: Some(journal.clone()),
+                checkpoint: false,
                 ..Default::default()
             },
         )
@@ -1286,6 +1316,52 @@ mod tests {
         std::fs::remove_file(&journal).ok();
         assert!(err.contains("checkpoint"), "{err}");
         assert!(err.contains("expected off"), "{err}");
+    }
+
+    /// A campaign the checkpoint store refuses runs by full re-execution,
+    /// silently, and keeps the reason: on the result, as the `campaign`
+    /// span's `checkpoint_fallback` attribute, and as an `off` identity in
+    /// the journal meta.
+    #[test]
+    fn ineligible_campaign_falls_back_with_its_reason() {
+        let prog = Cp::new(ProblemScale::Quick);
+        let mut cfg = small_cfg();
+        cfg.plan.vars_per_program = 0;
+        cfg.plan.scheduler_per_mille = 0;
+        cfg.plan.register_per_mille = 0;
+        let journal = tmp("ckpt-fallback.jsonl");
+        let _ = std::fs::remove_file(&journal);
+        let sink = std::sync::Arc::new(hauberk_telemetry::MemorySink::unbounded());
+        let r = run_orchestrated_campaign_traced(
+            &prog,
+            CampaignKind::Sensitivity,
+            &cfg,
+            &OrchestratorConfig {
+                journal_path: Some(journal.clone()),
+                ..Default::default()
+            },
+            Telemetry::new(sink.clone()),
+        )
+        .unwrap();
+        let meta = crate::journal::read_journal(&journal).unwrap().meta;
+        std::fs::remove_file(&journal).ok();
+        assert_eq!(r.planned, 0);
+        assert!(r.checkpoint.is_none());
+        let reason = r.checkpoint_fallback.as_deref().expect("fallback reason");
+        assert!(reason.contains("no planned fault"), "{reason}");
+        assert_eq!(meta.map(|m| m.checkpoint).as_deref(), Some("off"));
+        let attr = sink.events().into_iter().find_map(|e| match e {
+            Event::Span {
+                name: "campaign",
+                attrs,
+                ..
+            } => attrs
+                .into_iter()
+                .find(|(k, _)| *k == "checkpoint_fallback")
+                .map(|(_, v)| v),
+            _ => None,
+        });
+        assert_eq!(attr.as_deref(), Some(reason));
     }
 
     /// Checkpointed journals resume like plain ones: interrupt, resume with
@@ -1298,7 +1374,6 @@ mod tests {
             shard_size: 8,
             journal_path: journal,
             resume_from: resume,
-            checkpoint: true,
             ..Default::default()
         };
         let journal = tmp("ckpt-resume.jsonl");

@@ -3,7 +3,9 @@
 //! fanned out through rayon with [`with_parent`] re-establishing the unit
 //! span as the parent on each worker. Whatever the interleaving, the emitted
 //! spans must reassemble into exactly one rooted tree per campaign, with
-//! every span reachable from its own campaign's root and no id reuse.
+//! every span reachable from its own campaign's root and no id reuse. A real
+//! campaign at default settings (batch engine, checkpointed) must keep the
+//! campaign → unit → launch shape.
 
 use hauberk_telemetry::span::with_parent;
 use hauberk_telemetry::{Event, MemorySink, Telemetry};
@@ -111,4 +113,87 @@ proptest! {
             }
         }
     }
+}
+
+/// A real campaign under the default orchestrator config runs every
+/// injection from the shared checkpoint, and each of those resumed launches
+/// still opens a `launch` span under its work unit, carrying the launch
+/// attributes plus `restore_ns` and `spliced`.
+#[test]
+fn default_campaign_units_have_launch_children() {
+    use hauberk::builds::FtOptions;
+    use hauberk_benchmarks::{cp::Cp, ProblemScale};
+    use hauberk_swifi::campaign::{CampaignConfig, CampaignKind};
+    use hauberk_swifi::orchestrator::{run_orchestrated_campaign_traced, OrchestratorConfig};
+    use hauberk_swifi::plan::PlanConfig;
+
+    let sink = Arc::new(MemorySink::unbounded());
+    let cfg = CampaignConfig {
+        plan: PlanConfig {
+            vars_per_program: 3,
+            masks_per_var: 4,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let r = run_orchestrated_campaign_traced(
+        &Cp::new(ProblemScale::Quick),
+        CampaignKind::Coverage(FtOptions::default()),
+        &cfg,
+        &OrchestratorConfig::default(),
+        Telemetry::new(sink.clone()),
+    )
+    .expect("campaign");
+    let ck = r.checkpoint.as_ref().expect("default campaign checkpoints");
+    assert_eq!(ck.injections, r.executed, "every injection resumed");
+
+    let mut units = Vec::new();
+    let mut launches = Vec::new();
+    for e in sink.events() {
+        if let Event::Span {
+            name,
+            id,
+            parent,
+            attrs,
+            ..
+        } = e
+        {
+            match name {
+                "unit" => units.push(id),
+                "launch" => launches.push((parent, attrs)),
+                _ => {}
+            }
+        }
+    }
+    assert!(!units.is_empty(), "unit spans recorded");
+    for unit in &units {
+        assert!(
+            launches.iter().any(|(parent, _)| parent == unit),
+            "unit span {unit} has no launch child"
+        );
+    }
+    for (parent, attrs) in &launches {
+        assert!(units.contains(parent), "launch outside a unit: {attrs:?}");
+        let attr = |k: &str| attrs.iter().find(|(a, _)| *a == k).map(|(_, v)| v.as_str());
+        assert_eq!(attr("engine"), Some("batch"));
+        for key in [
+            "kernel",
+            "prepare_ns",
+            "restore_ns",
+            "exec_ns",
+            "warps",
+            "outcome",
+        ] {
+            assert!(attr(key).is_some(), "launch span lacks `{key}`: {attrs:?}");
+        }
+        assert!(
+            matches!(attr("spliced"), Some("true" | "false")),
+            "{attrs:?}"
+        );
+    }
+    assert_eq!(
+        launches.len() as u64,
+        r.executed,
+        "one launch span per injection"
+    );
 }

@@ -153,25 +153,40 @@ fn sharded_summary_is_invariant_to_unit_size() {
     }
 }
 
-/// Simulate a kill: keep only a prefix of the journal, resume, and demand a
-/// summary byte-identical to the uninterrupted run. `keep_extra_bytes`
-/// additionally keeps a torn fragment of the next record, as a kill during a
-/// write would leave behind.
-fn interrupt_and_resume(keep_lines: usize, keep_extra_bytes: usize, tag: &str) {
+/// Simulate a kill: keep the journal's header records plus `keep_units`
+/// unit records, resume, and demand a summary byte-identical to the
+/// uninterrupted run. `keep_extra_bytes` additionally keeps a torn fragment
+/// of the next record, as a kill during a write would leave behind.
+/// `checkpoint` picks the execution mode: the default (checkpointed) or the
+/// full re-execution oracle.
+fn interrupt_and_resume(keep_units: usize, keep_extra_bytes: usize, tag: &str, checkpoint: bool) {
+    let tag = format!("{tag}-{}", if checkpoint { "ckpt" } else { "full" });
     let full_journal = tmp(&format!("{tag}-full.jsonl"));
     let cut_journal = tmp(&format!("{tag}-cut.jsonl"));
     for p in [&full_journal, &cut_journal] {
         let _ = std::fs::remove_file(p);
     }
-    let (full, full_text, full_json) = run_orch(&OrchestratorConfig {
+    let orch = |journal_path: Option<PathBuf>, resume_from: Option<PathBuf>| OrchestratorConfig {
         shard_size: 5,
-        journal_path: Some(full_journal.clone()),
+        journal_path,
+        resume_from,
+        checkpoint,
         ..Default::default()
-    });
+    };
+    let (full, full_text, full_json) = run_orch(&orch(Some(full_journal.clone()), None));
     assert!(full.executed > 30, "enough units to interrupt meaningfully");
+    assert_eq!(full.checkpoint.is_some(), checkpoint, "execution mode");
 
     let text = std::fs::read_to_string(&full_journal).unwrap();
     let lines: Vec<&str> = text.lines().collect();
+    // Header records: the meta, plus the checkpoint identity when the run
+    // checkpointed.
+    let headers = lines
+        .iter()
+        .take_while(|l| l.contains(r#""rec":"meta""#) || l.contains(r#""rec":"ckpt""#))
+        .count();
+    assert_eq!(headers, 1 + usize::from(checkpoint), "meta (+ ckpt) header");
+    let keep_lines = headers + keep_units;
     assert!(lines.len() > keep_lines + 1, "journal long enough to cut");
     let mut cut: String = lines[..keep_lines]
         .iter()
@@ -183,16 +198,11 @@ fn interrupt_and_resume(keep_lines: usize, keep_extra_bytes: usize, tag: &str) {
     }
     std::fs::write(&cut_journal, &cut).unwrap();
 
-    let (resumed, res_text, res_json) = run_orch(&OrchestratorConfig {
-        shard_size: 5,
-        resume_from: Some(cut_journal.clone()),
-        ..Default::default()
-    });
+    let (resumed, res_text, res_json) = run_orch(&orch(None, Some(cut_journal.clone())));
     let _ = std::fs::remove_file(&full_journal);
     assert_eq!(
-        resumed.resumed_units as usize,
-        keep_lines - 1,
-        "meta + units kept"
+        resumed.resumed_units as usize, keep_units,
+        "every kept unit replays"
     );
     assert!(
         resumed.executed > resumed.resumed_injections,
@@ -207,11 +217,7 @@ fn interrupt_and_resume(keep_lines: usize, keep_extra_bytes: usize, tag: &str) {
     assert_eq!(full_json, res_json, "resumed JSON summary differs");
     // The resumed journal is now complete: replaying it alone reproduces the
     // same summary with zero fresh execution.
-    let (replayed, rep_text, _) = run_orch(&OrchestratorConfig {
-        shard_size: 5,
-        resume_from: Some(cut_journal.clone()),
-        ..Default::default()
-    });
+    let (replayed, rep_text, _) = run_orch(&orch(None, Some(cut_journal.clone())));
     let _ = std::fs::remove_file(&cut_journal);
     assert_eq!(
         replayed.resumed_injections, replayed.executed,
@@ -222,16 +228,21 @@ fn interrupt_and_resume(keep_lines: usize, keep_extra_bytes: usize, tag: &str) {
 
 #[test]
 fn interrupted_campaign_resumes_byte_identically() {
-    // Keep the meta record plus 4 completed units — a mid-campaign kill.
-    interrupt_and_resume(5, 0, "clean");
+    // Keep the header plus 4 completed units — a mid-campaign kill — under
+    // the default and under full re-execution.
+    for checkpoint in [true, false] {
+        interrupt_and_resume(4, 0, "clean", checkpoint);
+    }
 }
 
 #[test]
 fn torn_journal_resume_warns_and_converges() {
-    // Same, but the kill tore the 6th record mid-write: the reader must
+    // Same, but the kill tore the next record mid-write: the reader must
     // drop the fragment (with a warning), re-execute that unit, and still
     // produce the byte-identical summary.
-    interrupt_and_resume(5, 25, "torn");
+    for checkpoint in [true, false] {
+        interrupt_and_resume(4, 25, "torn", checkpoint);
+    }
 }
 
 /// Truncate a journal line to its first `keep_bytes` bytes with no trailing
