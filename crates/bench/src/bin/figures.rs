@@ -1,10 +1,13 @@
 //! `figures` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|all]
+//! figures [fig1|fig2|fig3|fig4|fig9|fig10|fig13|fig14|fig15|fig16|alpha|guardian|ablation|instr|all]
 //!         [--paper]     use larger problem sizes / experiment counts
 //!         [--json]      one JSON document instead of text sections
 //! ```
+//!
+//! `all` is every figure except `instr` (§IX.D instrumentation time), whose
+//! wall-clock numbers change run to run; `all`'s output is byte-stable.
 //!
 //! Output does not depend on the execution engine or the worker count (the
 //! differential and determinism suites prove it), so neither is a flag here;
@@ -16,9 +19,9 @@ use hauberk_bench::*;
 use hauberk_benchmarks::{hpc_suite, ProblemScale};
 use std::env;
 
-const FIGURES: [&str; 14] = [
+const FIGURES: [&str; 15] = [
     "fig1", "fig2", "fig3", "fig4", "fig9", "fig10", "fig13", "fig14", "fig15", "fig16", "alpha",
-    "guardian", "ablation", "all",
+    "guardian", "ablation", "instr", "all",
 ];
 
 struct Cfg {
@@ -106,6 +109,14 @@ fn main() {
     }
     if want("ablation") {
         em.section("ablation", &ablation::render("MRI-Q"));
+    }
+    if which.contains(&"instr") {
+        let t = instr_time::render(&instr_time::run());
+        if em.is_json() {
+            em.json_section("instr", t.to_json());
+        } else {
+            em.table(&t);
+        }
     }
     em.finish();
 }

@@ -17,13 +17,12 @@
 //!   Wilson-interval early stopping (README "Campaign operations").
 //! * `campaign_bench` — adaptive-vs-uniform sampling cost, writes
 //!   `BENCH_campaign.json` (asserts the ≥2x reduction claim).
-//! * `interp_bench` — bytecode-vs-tree-walk speedup, writes
-//!   `BENCH_interp.json`.
-//! * `telemetry_overhead` — telemetry hot-path cost, writes
-//!   `BENCH_telemetry.json`.
+//! * `hardening_bench` — the selective-hardening Pareto front, writes
+//!   `BENCH_hardening.json` (asserts the coverage/overhead claims).
 //!
-//! Criterion benches live under `benches/`; `tests/golden/` pins the CLI
-//! JSON output shapes (refresh with `UPDATE_GOLDEN=1`).
+//! Timing lives in one place, the end-to-end benchmark under `perfbench/`
+//! (`BENCHMARK.json`). `tests/golden/` pins the CLI JSON output shapes
+//! (refresh with `UPDATE_GOLDEN=1`).
 
 pub mod ablation;
 pub mod alpha_cov;
@@ -35,5 +34,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig9;
 pub mod guardian_cases;
+pub mod instr_time;
 pub mod perf;
 pub mod report;

@@ -13,6 +13,7 @@
 //!
 //! and review the diff like any other source change.
 
+use hauberk_telemetry::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -134,6 +135,34 @@ fn campaign_refuses_unknown_arguments() {
     }
 }
 
+/// `figures instr --json` (§IX.D, wall-clock so not a snapshot): one row
+/// per HPC program, in suite order, each with positive parse, FT and FI
+/// times, and nothing else in the document.
+#[test]
+fn figures_instr_reports_every_hpc_program() {
+    let out = run(env!("CARGO_BIN_EXE_figures"), &["instr", "--json"]);
+    let doc = parse(out.trim()).expect("figures --json emits JSON");
+    let Json::Obj(map) = &doc else {
+        panic!("not an object: {out}")
+    };
+    assert_eq!(map.keys().collect::<Vec<_>>(), ["instr"], "{out}");
+    let rows = map["instr"].as_arr().expect("instr is an array of rows");
+    let programs: Vec<&str> = rows
+        .iter()
+        .map(|r| r.get("program").and_then(Json::as_str).expect("program"))
+        .collect();
+    assert_eq!(
+        programs,
+        ["CP", "MRI-FHD", "MRI-Q", "PNS", "RPES", "SAD", "TPACF"]
+    );
+    for r in rows {
+        for col in ["parse_us", "ft_us", "fi_us"] {
+            let v = r.get(col).and_then(Json::as_f64).expect(col);
+            assert!(v > 0.0, "{col} = {v} in {r}");
+        }
+    }
+}
+
 /// `figures` refuses unknown flags (the removed `--engine` and `--threads`
 /// included) and unknown figure names instead of printing nothing or
 /// silently running every figure.
@@ -145,6 +174,7 @@ fn figures_refuses_unknown_arguments() {
         &["--engin", "batch"][..],
         &["fig9", "--engine", "batch"][..],
         &["fig9", "--threads", "1"][..],
+        &["instrumentation"][..],
     ] {
         assert_refused(bin, args, "usage: figures");
     }

@@ -200,11 +200,10 @@ pub fn run_program(
 }
 
 /// [`run_program`] with a telemetry handle and an explicit execution engine.
-/// The device emits kernel launch/exit span events (and per-hook events when
-/// hot events are on) into `tele`'s sink. `engine` `None` keeps the
-/// program's device default ([`hauberk_sim::default_engine`]); `Some` pins
-/// the engine for this run. Campaigns pass their configured engine to every
-/// run they perform.
+/// The device emits kernel launch/exit events and its `launch` span into
+/// `tele`'s sink. `engine` `None` keeps the program's device default
+/// ([`hauberk_sim::default_engine`]); `Some` pins the engine for this run.
+/// Campaigns pass their configured engine to every run they perform.
 pub fn run_program_with_engine(
     prog: &dyn HostProgram,
     kernel: &KernelDef,

@@ -116,10 +116,6 @@ pub struct JobSpec {
     /// also pin its own. Stamped onto the campaign's root span so every
     /// span in the job's event log carries it.
     pub trace: Option<String>,
-    /// Emit tracing spans into the job's event log (default `true`).
-    /// `"spans": false` drops the span layer for latency-critical
-    /// submissions; `serve_bench` uses it to price the layer.
-    pub spans: bool,
     /// `(index, modulus)`: execute only the strata this shard owns (the
     /// orchestrator's round-robin partition). Submitting shards `0..M` of
     /// one spec to independent daemons with a `state_dir` and merging their
@@ -164,7 +160,6 @@ impl Default for JobSpec {
             chaos: None,
             engine: None,
             trace: None,
-            spans: true,
             shard: None,
             priority: Priority::Normal,
             client: None,
@@ -207,7 +202,6 @@ impl JobSpec {
             "chaos",
             "engine",
             "trace",
-            "spans",
             "shard",
             "priority",
             "client",
@@ -257,9 +251,6 @@ impl JobSpec {
                 );
             }
             spec.trace = Some(t.to_string());
-        }
-        if let Some(v) = map.get("spans") {
-            spec.spans = v.as_bool().ok_or("`spans` must be a boolean")?;
         }
         if let Some(v) = map.get("shard") {
             let index = v
@@ -432,9 +423,6 @@ impl JobSpec {
         if let Some(t) = &self.trace {
             pairs.push(("trace", Json::str(t.clone())));
         }
-        if !self.spans {
-            pairs.push(("spans", Json::Bool(false)));
-        }
         if let Some((index, modulus)) = self.shard {
             pairs.push((
                 "shard",
@@ -499,11 +487,11 @@ impl JobSpec {
     /// JSON form with the observational fields stripped. Two specs share a
     /// key exactly when they produce byte-identical result documents, so the
     /// key set excludes everything that only shapes scheduling or telemetry
-    /// (`trace`, `spans`, `priority`, `client`, `cache`) and includes
+    /// (`trace`, `priority`, `client`, `cache`) and includes
     /// everything result-affecting (program, kind, seed, sizing, engine,
     /// shard, hardening, ...).
     pub fn cache_key(&self) -> String {
-        const OBSERVATIONAL: &[&str] = &["trace", "spans", "priority", "client", "cache"];
+        const OBSERVATIONAL: &[&str] = &["trace", "priority", "client", "cache"];
         let mut doc = self.to_json();
         if let Json::Obj(map) = &mut doc {
             map.retain(|k, _| !OBSERVATIONAL.contains(&k.as_str()));
@@ -897,14 +885,31 @@ mod tests {
     }
 
     #[test]
-    fn spans_toggle_defaults_on_and_round_trips_off() {
-        let on = JobSpec::from_json(&parse(r#"{"program":"CP"}"#).unwrap()).unwrap();
-        assert!(on.spans);
-        assert!(!on.to_json().to_string().contains("spans"));
-        let off = JobSpec::from_json(&parse(r#"{"program":"CP","spans":false}"#).unwrap()).unwrap();
-        assert!(!off.spans);
-        let back = JobSpec::from_json(&off.to_json()).unwrap();
-        assert!(!back.spans);
+    fn spans_field_is_refused_and_cache_keys_are_unchanged() {
+        // Spans always ride an enabled job event log: a spec that still
+        // names the old toggle is refused like any other unknown field.
+        for v in ["true", "false"] {
+            let doc = format!(r#"{{"program":"CP","spans":{v}}}"#);
+            let err = JobSpec::from_json(&parse(&doc).unwrap()).unwrap_err();
+            assert!(err.contains("unknown field `spans`"), "{err}");
+        }
+        // The field was emitted only when false, so every other spec keeps
+        // its canonical JSON and with it the cache key it had before.
+        let key = |doc: &str| {
+            JobSpec::from_json(&parse(doc).unwrap())
+                .unwrap()
+                .cache_key()
+        };
+        assert_eq!(key(r#"{"program":"CP"}"#), "ae49fb474b6bfcbf");
+        let full = r#"{"program":"CP","kind":"coverage","seed":7,"vars":3,"masks":4,
+            "bit_counts":[1,3],"alpha":1.5,"shard_size":8,"max_retries":2,
+            "adaptive":{"ci_width":0.2,"min_samples":16},
+            "chaos":{"stratum":"FPU/floating-point","chunk":1,"fail_attempts":2,"panics":false},
+            "engine":"batch","trace":"ht-1","shard":{"index":1,"modulus":3},
+            "priority":"low","client":"alice","cache":true,
+            "hardening":{"nonloop_vars":["xidx"],"loop_detectors":[{"loop":0,"var":"energyx2"}],
+                         "trip_checks":[0]}}"#;
+        assert_eq!(key(full), "587f025b2b28557c");
     }
 
     #[test]
@@ -1029,7 +1034,7 @@ mod tests {
         let base = JobSpec::from_json(&parse(r#"{"program":"CP","seed":9}"#).unwrap()).unwrap();
         let dressed = JobSpec::from_json(
             &parse(
-                r#"{"program":"CP","seed":9,"trace":"ht-1","spans":false,
+                r#"{"program":"CP","seed":9,"trace":"ht-1",
                     "priority":"low","client":"alice","cache":true}"#,
             )
             .unwrap(),

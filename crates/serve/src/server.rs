@@ -328,8 +328,7 @@ impl Inner {
         self.metrics.incr("jobs_started", 1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let journal = self.state_path(&job.id, "journal.jsonl");
-            let tele =
-                Telemetry::new(Arc::new(JobEventSink::new(job.clone()))).with_spans(job.spec.spans);
+            let tele = Telemetry::new(Arc::new(JobEventSink::new(job.clone())));
             let prog = job.spec.build_program()?;
             let cfg = job.spec.campaign_config();
             let mut orch = job.spec.orchestrator_config();

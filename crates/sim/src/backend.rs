@@ -12,7 +12,7 @@
 //!   [`BatchCompiled`] — bytecode + region plan — for the batch tier);
 //! * [`ExecBackend::run_warp`] executes one warp against that artifact,
 //!   with all mutable launch state passed through [`WarpCtx`] (memory,
-//!   runtime hooks for fault injection, stats, cycle budget, telemetry).
+//!   runtime hooks for fault injection, stats, cycle budget).
 //!
 //! The contract every backend must honor is **observational equivalence**:
 //! identical `ExecStats`, trap/hang ordering, hook and fault-injection
@@ -32,7 +32,6 @@ use crate::stats::ExecStats;
 use crate::vm::VmExec;
 use crate::vm_batch::{compile_batch_cached, BatchCompiled};
 use hauberk_kir::{KernelDef, Value};
-use hauberk_telemetry::Telemetry;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -56,10 +55,6 @@ pub struct WarpCtx<'a> {
     pub geom: WarpGeom,
     /// Kernel arguments (broadcast to lanes).
     pub args: &'a [Value],
-    /// Telemetry pipeline.
-    pub tele: &'a Telemetry,
-    /// Launch id for telemetry correlation.
-    pub launch_id: u64,
 }
 
 /// A backend's per-launch compilation artifact, opaque to the device.
@@ -140,8 +135,6 @@ impl ExecBackend for TreeWalkBackend {
             ctx.budget,
             ctx.geom,
             ctx.args,
-            ctx.tele,
-            ctx.launch_id,
         )
         .run()
     }
@@ -176,8 +169,6 @@ impl ExecBackend for BytecodeBackend {
             ctx.budget,
             ctx.geom,
             ctx.args,
-            ctx.tele,
-            ctx.launch_id,
         )
         .run()
     }
@@ -212,8 +203,6 @@ impl ExecBackend for BatchBackend {
             ctx.budget,
             ctx.geom,
             ctx.args,
-            ctx.tele,
-            ctx.launch_id,
         )
         .with_batch(&bc.batch)
         .run()

@@ -1,9 +1,8 @@
 //! Compiled kernels and the process-wide build cache.
 //!
 //! A [`CompiledKernel`] bundles the bytecode from `hauberk-kir::lower` with
-//! the tables the VM wants preresolved per instruction stream instead of per
-//! dispatch: hook costs (which depend on the device's [`CostModel`]) and
-//! stable hook names for telemetry.
+//! the table the VM wants preresolved per instruction stream instead of per
+//! dispatch: hook costs (which depend on the device's [`CostModel`]).
 //!
 //! [`compile_cached`] is the campaign-scale entry point: SWIFI campaigns
 //! launch the *same* instrumented kernel thousands of times (once per
@@ -15,7 +14,7 @@
 //! lives in the same entry, so each kernel holds one key and one lowering.
 
 use crate::config::CostModel;
-use crate::interp::{hook_cost, hook_kind_name};
+use crate::interp::hook_cost;
 use crate::vm_batch::BatchCompiled;
 use hauberk_kir::lower::{lower_kernel, LoweredKernel};
 use hauberk_kir::printer::print_kernel;
@@ -23,15 +22,13 @@ use hauberk_kir::KernelDef;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Bytecode plus preresolved per-hook tables.
+/// Bytecode plus the preresolved per-hook cost table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// The lowered instruction stream and register layout.
     pub lowered: LoweredKernel,
     /// Dispatch cost of each hook (indexed like [`LoweredKernel::hooks`]).
     pub hook_costs: Vec<u64>,
-    /// Stable telemetry label of each hook.
-    pub hook_names: Vec<&'static str>,
 }
 
 /// Compile `kernel` for a device with cost model `cost` (uncached).
@@ -42,15 +39,9 @@ pub fn compile(kernel: &KernelDef, cost: &CostModel) -> CompiledKernel {
         .iter()
         .map(|h| hook_cost(cost, &h.kind))
         .collect();
-    let hook_names = lowered
-        .hooks
-        .iter()
-        .map(|h| hook_kind_name(&h.kind))
-        .collect();
     CompiledKernel {
         lowered,
         hook_costs,
-        hook_names,
     }
 }
 

@@ -152,7 +152,7 @@ impl Device {
             threads: launch.total_threads(),
         });
         let mut span = self.launch_span(&tele, kernel, launch_id);
-        let out = self.launch_inner(kernel, args, launch, runtime, &tele, launch_id, &mut span);
+        let out = self.launch_inner(kernel, args, launch, runtime, &mut span);
         span.attr("outcome", out.label());
         drop(span);
         tele.emit_with(|| Event::KernelExit {
@@ -175,15 +175,12 @@ impl Device {
         span
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn launch_inner(
         &mut self,
         kernel: &KernelDef,
         args: &[Value],
         launch: &Launch,
         runtime: &mut dyn HookRuntime,
-        tele: &Telemetry,
-        launch_id: u64,
         span: &mut SpanGuard,
     ) -> LaunchOutcome {
         if let Err(out) = self.validate_launch(kernel, args) {
@@ -210,8 +207,6 @@ impl Device {
                 args,
                 launch,
                 runtime,
-                tele,
-                launch_id,
                 backend,
                 prepared: &prepared,
             },
@@ -307,8 +302,6 @@ impl Device {
                         budget: &mut st.budget,
                         geom,
                         args: ctx.args,
-                        tele: ctx.tele,
-                        launch_id: ctx.launch_id,
                     },
                 );
                 if let (Some(ns), Some(t)) = (exec_ns.as_deref_mut(), t_warp) {
@@ -366,7 +359,6 @@ impl Device {
         }
         let backend = self.config.engine.backend();
         let prepared = backend.prepare(kernel, &self.config);
-        let tele = self.telemetry.clone();
         let total = launch.total_blocks();
 
         // Merge both boundary sets into one sorted stop list.
@@ -392,8 +384,6 @@ impl Device {
                     args,
                     launch,
                     runtime: &mut *runtime,
-                    tele: &tele,
-                    launch_id: 0,
                     backend,
                     prepared: &prepared,
                 },
@@ -485,8 +475,6 @@ impl Device {
             runtime,
             snap,
             (fence, expected_fp),
-            &tele,
-            launch_id,
             &mut span,
         );
         let (outcome, spliced) = match &run {
@@ -512,8 +500,6 @@ impl Device {
         runtime: &mut dyn HookRuntime,
         snap: &Snapshot,
         (fence, expected_fp): (u32, u64),
-        tele: &Telemetry,
-        launch_id: u64,
         span: &mut SpanGuard,
     ) -> Spliced {
         if let Err(out) = self.validate_launch(kernel, args) {
@@ -545,8 +531,6 @@ impl Device {
                         args,
                         launch,
                         runtime: &mut *runtime,
-                        tele,
-                        launch_id,
                         backend,
                         prepared: &prepared,
                     },
@@ -631,8 +615,6 @@ struct RunCtx<'a> {
     args: &'a [Value],
     launch: &'a Launch,
     runtime: &'a mut dyn HookRuntime,
-    tele: &'a Telemetry,
-    launch_id: u64,
     backend: &'a dyn ExecBackend,
     prepared: &'a Prepared,
 }

@@ -14,7 +14,6 @@ use crate::stats::{ExecStats, OpClass};
 use hauberk_kir::expr::{BinOp, BuiltinVar, Expr, MathFn, UnOp};
 use hauberk_kir::stmt::{Block, Hook, HookKind, Stmt};
 use hauberk_kir::{KernelDef, MemSpace, PrimTy, PtrVal, Value};
-use hauberk_telemetry::{Event, Telemetry};
 
 /// Why execution stopped abnormally.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,10 +291,6 @@ pub struct WarpExec<'a> {
     producer: Vec<Tag>,
     pipe: Pipe,
     loop_depth: u32,
-    /// Telemetry for hot hook-dispatch events (one branch when disabled).
-    tele: &'a Telemetry,
-    /// Launch id for event correlation (0 when telemetry is disabled).
-    launch_id: u64,
 }
 
 impl<'a> WarpExec<'a> {
@@ -312,8 +307,6 @@ impl<'a> WarpExec<'a> {
         budget: &'a mut u64,
         geom: WarpGeom,
         args: &[Value],
-        tele: &'a Telemetry,
-        launch_id: u64,
     ) -> Self {
         assert_eq!(args.len(), kernel.n_params, "kernel argument count");
         let width = cfg.warp_width as usize;
@@ -340,8 +333,6 @@ impl<'a> WarpExec<'a> {
             regs,
             pipe: Pipe::new(),
             loop_depth: 0,
-            tele,
-            launch_id,
         }
     }
 
@@ -746,14 +737,6 @@ impl<'a> WarpExec<'a> {
         let warp_width = self.cfg.warp_width;
         let first_thread = geom.first_thread(warp_width);
         let cycles = self.stats.work_cycles;
-        self.tele.emit_hot_with(|| Event::HookDispatch {
-            launch_id: self.launch_id,
-            kind: "loop_check",
-            site: loop_id as u64,
-            block: geom.block_lin(),
-            warp: geom.warp_id,
-            cycles,
-        });
         {
             let iter_slot = iter_var.map(|v| &mut self.regs[v as usize]);
             let mut ctx = LoopCheckCtx {
@@ -794,14 +777,6 @@ impl<'a> WarpExec<'a> {
         let warp_width = self.cfg.warp_width;
         let first_thread = geom.first_thread(warp_width);
         let cycles = self.stats.work_cycles;
-        self.tele.emit_hot_with(|| Event::HookDispatch {
-            launch_id: self.launch_id,
-            kind: hook_kind_name(&h.kind),
-            site: h.site as u64,
-            block: geom.block_lin(),
-            warp: geom.warp_id,
-            cycles,
-        });
         let target_slot = h.target.map(|v| &mut self.regs[v as usize]);
         let mut ctx = HookCtx {
             block_id: geom.block_lin(),
@@ -832,19 +807,6 @@ impl<'a> WarpExec<'a> {
             self.producer[v as usize] = 0;
         }
         Ok(())
-    }
-}
-
-/// Stable event label for a hook kind.
-pub(crate) fn hook_kind_name(kind: &HookKind) -> &'static str {
-    match kind {
-        HookKind::CheckRange { .. } => "check_range",
-        HookKind::CheckEqual { .. } => "check_equal",
-        HookKind::ChecksumCheck => "checksum_check",
-        HookKind::NlMismatch => "nl_mismatch",
-        HookKind::FiPoint { .. } => "fi_point",
-        HookKind::Profile { .. } => "profile",
-        HookKind::CountExec => "count_exec",
     }
 }
 

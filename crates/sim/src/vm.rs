@@ -69,7 +69,6 @@ use crate::vm_batch::{
 use hauberk_kir::batch::TagSrc;
 use hauberk_kir::lower::{Op, Reg, NO_REG};
 use hauberk_kir::{BinOp, MathFn, MemSpace, PrimTy, PtrVal, Ty, UnOp, Value};
-use hauberk_telemetry::{Event, Telemetry};
 
 /// Reconstruct a typed [`Value`] from a raw register word. Exact inverse of
 /// `Value::to_bits` given the static type (`Bool` masks to bit 0 like
@@ -495,8 +494,6 @@ pub struct VmExec<'a> {
     batch: Option<&'a BatchKernel>,
     /// Scratch for region producer-tag write-back (two-phase, alias-safe).
     wb_scratch: Vec<Tag>,
-    tele: &'a Telemetry,
-    launch_id: u64,
 }
 
 impl<'a> VmExec<'a> {
@@ -513,8 +510,6 @@ impl<'a> VmExec<'a> {
         budget: &'a mut u64,
         geom: WarpGeom,
         args: &[Value],
-        tele: &'a Telemetry,
-        launch_id: u64,
     ) -> Self {
         let lk = &compiled.lowered;
         assert_eq!(args.len(), lk.n_params, "kernel argument count");
@@ -563,8 +558,6 @@ impl<'a> VmExec<'a> {
             mtgt: Vec::new(),
             batch: None,
             wb_scratch: Vec::new(),
-            tele,
-            launch_id,
         }
     }
 
@@ -679,14 +672,6 @@ impl<'a> VmExec<'a> {
         let warp_width = self.cfg.warp_width;
         let first_thread = geom.first_thread(warp_width);
         let cycles = self.stats.work_cycles;
-        self.tele.emit_hot_with(|| Event::HookDispatch {
-            launch_id: self.launch_id,
-            kind: "loop_check",
-            site: loop_id as u64,
-            block: geom.block_lin(),
-            warp: geom.warp_id,
-            cycles,
-        });
         let has_iter = iter != NO_REG;
         // Batch tier: a passive runtime neither reads nor mutates the
         // iterator or the decision mask, so materializing a typed view is
@@ -739,19 +724,11 @@ impl<'a> VmExec<'a> {
         let warp_width = self.cfg.warp_width;
         let first_thread = geom.first_thread(warp_width);
         let cycles = self.stats.work_cycles;
-        self.tele.emit_hot_with(|| Event::HookDispatch {
-            launch_id: self.launch_id,
-            kind: compiled.hook_names[hook as usize],
-            site: h.site as u64,
-            block: geom.block_lin(),
-            warp: geom.warp_id,
-            cycles,
-        });
         // Batch tier: a passive runtime ignores the hook entirely — skip
-        // materializing argument/target views. Charges, stats, telemetry
-        // (above) and the target producer invalidation (the runtime "may
-        // have" corrupted it as far as pairing is concerned) still happen,
-        // and `register_corruption` is `None` by the passivity contract.
+        // materializing argument/target views. Charges, stats (above) and
+        // the target producer invalidation (the runtime "may have"
+        // corrupted it as far as pairing is concerned) still happen, and
+        // `register_corruption` is `None` by the passivity contract.
         if self.batch.is_some() && self.runtime.is_passive() {
             if let Some(v) = h.target {
                 self.producer[v as usize] = 0;

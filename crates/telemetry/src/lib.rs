@@ -5,7 +5,7 @@
 //! in-tree) and defines:
 //!
 //! * a typed [`Event`] taxonomy covering kernel launch/exit spans,
-//!   hook dispatch, fault injection, detector alarms, guardian recovery and
+//!   fault injection, detector alarms, guardian recovery and
 //!   per-injection campaign outcomes;
 //! * the [`TelemetrySink`] trait with three implementations —
 //!   [`NullSink`] (discard; the zero-cost-when-disabled path),
@@ -131,22 +131,6 @@ pub enum Event {
         /// Final execution statistics of the launch.
         snapshot: ExecSnapshot,
     },
-    /// The interpreter dispatched an instrumentation hook to the runtime.
-    /// High-volume: only emitted when [`Telemetry::with_hot_events`] is on.
-    HookDispatch {
-        /// Owning launch.
-        launch_id: u64,
-        /// Hook kind (`"fi_point"`, `"loop_check"`, ...).
-        kind: &'static str,
-        /// Site or loop id.
-        site: u64,
-        /// Block id.
-        block: u32,
-        /// Warp id within the block.
-        warp: u32,
-        /// Accumulated work cycles at dispatch.
-        cycles: u64,
-    },
     /// An armed SWIFI fault was delivered into architecture state.
     FaultInjected {
         /// Human-readable fault site (`"hook_target(3)"`, ...).
@@ -265,7 +249,6 @@ impl Event {
         match self {
             Event::KernelLaunch { .. } => "kernel_launch",
             Event::KernelExit { .. } => "kernel_exit",
-            Event::HookDispatch { .. } => "hook_dispatch",
             Event::FaultInjected { .. } => "fault_injected",
             Event::DetectorFired { .. } => "detector_fired",
             Event::Guardian { .. } => "guardian",
@@ -308,21 +291,6 @@ impl Event {
                 put("kernel", Json::str(kernel.clone()));
                 put("outcome", Json::str(*outcome));
                 put("stats", snapshot.to_json());
-            }
-            Event::HookDispatch {
-                launch_id,
-                kind,
-                site,
-                block,
-                warp,
-                cycles,
-            } => {
-                put("launch_id", Json::uint(*launch_id));
-                put("kind", Json::str(*kind));
-                put("site", Json::uint(*site));
-                put("block", Json::uint(*block as u64));
-                put("warp", Json::uint(*warp as u64));
-                put("cycles", Json::uint(*cycles));
             }
             Event::FaultInjected {
                 site,
@@ -587,8 +555,6 @@ pub fn next_launch_id() -> u64 {
 pub struct Telemetry {
     sink: Option<Arc<dyn TelemetrySink>>,
     enabled: bool,
-    hot_events: bool,
-    spans: bool,
 }
 
 impl Telemetry {
@@ -597,48 +563,20 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Telemetry feeding `sink`. High-volume events (per-hook dispatch)
-    /// stay off unless requested with [`Telemetry::with_hot_events`];
-    /// tracing spans are on (disable with [`Telemetry::with_spans`]).
+    /// Telemetry feeding `sink`; events and tracing spans flow whenever
+    /// the sink is enabled.
     pub fn new(sink: Arc<dyn TelemetrySink>) -> Self {
         let enabled = sink.is_enabled();
         Telemetry {
             sink: Some(sink),
             enabled,
-            hot_events: false,
-            spans: true,
         }
-    }
-
-    /// Enable/disable high-volume per-hook events.
-    pub fn with_hot_events(mut self, on: bool) -> Self {
-        self.hot_events = on;
-        self
-    }
-
-    /// Enable/disable tracing spans (see the [`span`] module).
-    pub fn with_spans(mut self, on: bool) -> Self {
-        self.spans = on;
-        self
-    }
-
-    /// Whether tracing spans are requested (gate, not sink, state — see
-    /// [`Telemetry::span_enabled`] for the combined check).
-    #[inline]
-    pub fn spans(&self) -> bool {
-        self.spans
     }
 
     /// Whether events are being consumed at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether high-volume events should be emitted.
-    #[inline]
-    pub fn hot_enabled(&self) -> bool {
-        self.enabled && self.hot_events
     }
 
     /// Emit an already-constructed event.
@@ -657,19 +595,6 @@ impl Telemetry {
     #[inline]
     pub fn emit_with(&self, build: impl FnOnce() -> Event) {
         if self.enabled {
-            if let Some(s) = &self.sink {
-                s.emit(&build());
-            }
-        }
-    }
-
-    /// Emit a high-volume event lazily: the [`Telemetry::hot_enabled`]
-    /// check comes first, so on the (default) cold configuration neither
-    /// the event nor any of its fields is ever constructed. Every per-hook
-    /// dispatch site goes through here.
-    #[inline]
-    pub fn emit_hot_with(&self, build: impl FnOnce() -> Event) {
-        if self.hot_enabled() {
             if let Some(s) = &self.sink {
                 s.emit(&build());
             }

@@ -35,6 +35,7 @@ use hauberk::control::ControlBlock;
 use hauberk::runtime::{FiFtRuntime, FiRuntime, FtRuntime, ProfilerRuntime};
 use hauberk::translator::FiMap;
 use hauberk_kir::builder::KernelBuilder;
+use hauberk_kir::parser::parse_kernel;
 use hauberk_kir::printer::print_kernel;
 use hauberk_kir::stmt::{LoopId, Stmt};
 use hauberk_kir::validate::validate_kernel;
@@ -822,6 +823,65 @@ fn divergence_heavy_three_way() {
     check_agreement(
         &k,
         "divergence-heavy",
+        &[
+            (ExecEngine::TreeWalk, &tw),
+            (ExecEngine::Bytecode, &bc),
+            (ExecEngine::Batch, &ba),
+        ],
+    );
+}
+
+/// The FP-loop "spin" kernel: every thread runs `n` full-mask
+/// multiply-adds over `x`, so the batch tier spends nearly the whole launch
+/// in one region.
+const SPIN_SRC: &str = r#"kernel spin(out: *global f32, x: *global f32, n: i32) {
+    let tid: i32 = block_idx_x() * block_dim_x() + thread_idx_x();
+    let acc: f32 = 0.0;
+    for (i = 0; i < n; i = i + 1) {
+        acc = acc + load(x, i) * 1.0001 + 0.5;
+    }
+    store(out, tid, acc);
+}"#;
+
+/// One fault-free `spin` launch on `engine`: 16 blocks of 32 threads,
+/// `n = 256`, on the small test GPU.
+fn run_spin(kernel: &KernelDef, engine: ExecEngine) -> RunResult {
+    let mut config = DeviceConfig::small_gpu();
+    config.engine = engine;
+    let mut dev = Device::new(config);
+    let out = dev.alloc(PrimTy::F32, 512);
+    let x = dev.alloc(PrimTy::F32, 256);
+    let mut rt = Recorder::new(NullRuntime);
+    let outcome = dev.launch(
+        kernel,
+        &[Value::Ptr(out), Value::Ptr(x), Value::I32(256)],
+        &Launch::grid1d(16, 32),
+        &mut rt,
+    );
+    RunResult {
+        outcome,
+        out_bits: dev
+            .mem
+            .copy_out_f32(out, 512)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect(),
+        log: rt.log,
+    }
+}
+
+/// A long, fully converged loop: the three engines must report identical
+/// `ExecStats` and bit-identical output memory.
+#[test]
+fn spin_loop_three_way() {
+    let k = parse_kernel(SPIN_SRC).unwrap();
+    let tw = run_spin(&k, ExecEngine::TreeWalk);
+    let bc = run_spin(&k, ExecEngine::Bytecode);
+    let ba = run_spin(&k, ExecEngine::Batch);
+    assert!(tw.outcome.is_completed(), "{:?}", tw.outcome);
+    check_agreement(
+        &k,
+        "spin loop",
         &[
             (ExecEngine::TreeWalk, &tw),
             (ExecEngine::Bytecode, &bc),
