@@ -3,13 +3,14 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7070] [--workers N] [--queue N]
 //!       [--state-dir DIR] [--max-body BYTES] [--read-timeout-ms MS]
-//!       [--client-quota N] [--cache-entries N] [--cache-bytes BYTES]
+//!       [--cache-entries N] [--cache-bytes BYTES]
 //! ```
 //!
-//! `--client-quota N` caps concurrent non-terminal jobs per `client` value.
-//! Every flag takes a value; anything else is refused with the usage text.
-//! To split one campaign across machines, submit its shards to independent
-//! daemons and merge their journals (DESIGN §18).
+//! Jobs start in submission order; `--queue N` bounds how many wait, and a
+//! submission beyond it gets 429 with `Retry-After`. Every flag takes a
+//! value; anything else is refused with the usage text. To split one
+//! campaign across machines, submit its shards to independent daemons and
+//! merge their journals (DESIGN §18).
 //!
 //! SIGINT/SIGTERM drain in-flight jobs and flush journals before exit;
 //! queued-but-unstarted jobs are canceled (and, with `--state-dir`,
@@ -53,7 +54,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] \
          [--state-dir DIR] [--max-body BYTES] [--read-timeout-ms MS] \
-         [--client-quota N] [--cache-entries N] [--cache-bytes BYTES]"
+         [--cache-entries N] [--cache-bytes BYTES]"
     );
     std::process::exit(2);
 }
@@ -66,7 +67,6 @@ const FLAGS: &[&str] = &[
     "--state-dir",
     "--max-body",
     "--read-timeout-ms",
-    "--client-quota",
     "--cache-entries",
     "--cache-bytes",
 ];
@@ -106,7 +106,6 @@ fn main() {
         cfg.read_timeout.as_millis() as u64,
     ));
     cfg.state_dir = arg_value(&args, "--state-dir").map(Into::into);
-    cfg.client_quota = parsed(&args, "--client-quota", cfg.client_quota);
     cfg.cache_max_entries = parsed(&args, "--cache-entries", cfg.cache_max_entries);
     cfg.cache_max_bytes = parsed(&args, "--cache-bytes", cfg.cache_max_bytes);
 

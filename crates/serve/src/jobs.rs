@@ -25,51 +25,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Queue priority lane of a submission. The bounded queue holds one lane
-/// per level and workers always drain the highest non-empty lane first, so
-/// an interactive `high` submission overtakes a backlog of `low` batch
-/// sweeps without preempting the job already running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Interactive lane: drained before everything else.
-    High,
-    /// The default lane.
-    #[default]
-    Normal,
-    /// Batch lane: drained only when the other lanes are empty.
-    Low,
-}
-
-impl Priority {
-    /// Stable wire label (`"high"`, `"normal"`, `"low"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-
-    /// Parse a wire label.
-    pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "high" => Some(Priority::High),
-            "normal" => Some(Priority::Normal),
-            "low" => Some(Priority::Low),
-            _ => None,
-        }
-    }
-
-    /// Queue lane index, highest priority first.
-    pub fn lane(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
-}
-
 /// What to execute: a registered benchmark or ad-hoc kernel text.
 #[derive(Debug, Clone)]
 pub enum ProgramSpec {
@@ -122,12 +77,6 @@ pub struct JobSpec {
     /// persisted journals with `merge_journals` reproduces the unsharded
     /// run byte-for-byte (`DESIGN.md` §18).
     pub shard: Option<(u32, u32)>,
-    /// Queue priority lane (default [`Priority::Normal`]).
-    pub priority: Priority,
-    /// Client identity for per-client quotas: with `--client-quota N`, at
-    /// most N non-terminal jobs per `client` value are admitted at once
-    /// (anonymous submissions share one bucket).
-    pub client: Option<String>,
     /// Selective detector placement for coverage campaigns: the
     /// `selection` object of a [`mod@hauberk_swifi::harden`] plan. `None`
     /// (the default) keeps the classic protect-everything build; a
@@ -161,8 +110,6 @@ impl Default for JobSpec {
             engine: None,
             trace: None,
             shard: None,
-            priority: Priority::Normal,
-            client: None,
             hardening: None,
             cache: false,
         }
@@ -203,8 +150,6 @@ impl JobSpec {
             "engine",
             "trace",
             "shard",
-            "priority",
-            "client",
             "hardening",
             "cache",
         ];
@@ -268,19 +213,6 @@ impl JobSpec {
                 return Err("`shard.index` must be < `shard.modulus`".to_string());
             }
             spec.shard = Some((index as u32, modulus as u32));
-        }
-        if let Some(v) = map.get("priority") {
-            let label = v.as_str().ok_or("`priority` must be a string")?;
-            spec.priority = Priority::parse(label).ok_or_else(|| {
-                format!("`priority` must be \"high\", \"normal\" or \"low\" (got `{label}`)")
-            })?;
-        }
-        if let Some(v) = map.get("client") {
-            let c = v.as_str().ok_or("`client` must be a string")?;
-            if c.is_empty() || c.len() > 64 || !c.chars().all(|ch| ch.is_ascii_graphic()) {
-                return Err("`client` must be 1..=64 printable ASCII characters".to_string());
-            }
-            spec.client = Some(c.to_string());
         }
         if let Some(v) = map.get("hardening") {
             spec.hardening = Some(HardeningSelection::from_json(v).ok_or(
@@ -432,12 +364,6 @@ impl JobSpec {
                 ]),
             ));
         }
-        if self.priority != Priority::Normal {
-            pairs.push(("priority", Json::str(self.priority.label())));
-        }
-        if let Some(c) = &self.client {
-            pairs.push(("client", Json::str(c.clone())));
-        }
         if let Some(sel) = &self.hardening {
             pairs.push(("hardening", sel.to_json()));
         }
@@ -486,12 +412,11 @@ impl JobSpec {
     /// FNV-1a (16-hex, via [`hauberk::canon::fnv1a_hex`]) over the canonical
     /// JSON form with the observational fields stripped. Two specs share a
     /// key exactly when they produce byte-identical result documents, so the
-    /// key set excludes everything that only shapes scheduling or telemetry
-    /// (`trace`, `priority`, `client`, `cache`) and includes
-    /// everything result-affecting (program, kind, seed, sizing, engine,
-    /// shard, hardening, ...).
+    /// key set excludes the fields that only shape telemetry or cache use
+    /// (`trace`, `cache`) and includes everything result-affecting
+    /// (program, kind, seed, sizing, engine, shard, hardening, ...).
     pub fn cache_key(&self) -> String {
-        const OBSERVATIONAL: &[&str] = &["trace", "priority", "client", "cache"];
+        const OBSERVATIONAL: &[&str] = &["trace", "cache"];
         let mut doc = self.to_json();
         if let Json::Obj(map) = &mut doc {
             map.retain(|k, _| !OBSERVATIONAL.contains(&k.as_str()));
@@ -743,10 +668,10 @@ impl Job {
         self.push_lifecycle("canceled");
     }
 
-    /// Request cooperative cancellation: a queued job is dropped by the
-    /// worker that pops it; a running job observes the flag at its next
-    /// work-unit boundary and stops there. Already-completed work stays in
-    /// the journal, so re-submitting resumes rather than restarts.
+    /// Request cooperative cancellation: a job a worker has popped but not
+    /// yet started is dropped there; a running job observes the flag at its
+    /// next work-unit boundary and stops there. Already-completed work stays
+    /// in the journal, so re-submitting resumes rather than restarts.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.wake.notify_all();
@@ -905,8 +830,7 @@ mod tests {
             "bit_counts":[1,3],"alpha":1.5,"shard_size":8,"max_retries":2,
             "adaptive":{"ci_width":0.2,"min_samples":16},
             "chaos":{"stratum":"FPU/floating-point","chunk":1,"fail_attempts":2,"panics":false},
-            "engine":"batch","trace":"ht-1","shard":{"index":1,"modulus":3},
-            "priority":"low","client":"alice","cache":true,
+            "engine":"batch","trace":"ht-1","shard":{"index":1,"modulus":3},"cache":true,
             "hardening":{"nonloop_vars":["xidx"],"loop_detectors":[{"loop":0,"var":"energyx2"}],
                          "trip_checks":[0]}}"#;
         assert_eq!(key(full), "587f025b2b28557c");
@@ -956,15 +880,10 @@ mod tests {
 
     #[test]
     fn shard_and_scheduling_fields_parse_validate_and_round_trip() {
-        let doc = parse(
-            r#"{"program":"CP","shard":{"index":1,"modulus":3},"priority":"high",
-                "client":"ci-bot","cache":true}"#,
-        )
-        .unwrap();
+        let doc =
+            parse(r#"{"program":"CP","shard":{"index":1,"modulus":3},"cache":true}"#).unwrap();
         let spec = JobSpec::from_json(&doc).unwrap();
         assert_eq!(spec.shard, Some((1, 3)));
-        assert_eq!(spec.priority, Priority::High);
-        assert_eq!(spec.client.as_deref(), Some("ci-bot"));
         assert!(spec.cache);
         assert_eq!(spec.orchestrator_config().shard, Some((1, 3)));
         let back = JobSpec::from_json(&spec.to_json()).unwrap();
@@ -972,7 +891,7 @@ mod tests {
         // Defaults stay off the wire.
         let plain = JobSpec::from_json(&parse(r#"{"program":"CP"}"#).unwrap()).unwrap();
         let s = plain.to_json().to_string();
-        for absent in ["shard", "priority", "client", "cache"] {
+        for absent in ["shard", "cache"] {
             assert!(
                 !s.contains(&format!("\"{absent}\":")),
                 "default `{absent}` must not serialize"
@@ -987,11 +906,16 @@ mod tests {
                 r#"{"program":"CP","shard":{"index":0,"modulus":65}}"#,
                 "`shard.modulus` must be in 1..=64",
             ),
+            // The daemon has one FIFO queue and no per-client quota, so the
+            // old scheduling fields are unknown like any other typo.
             (
-                r#"{"program":"CP","priority":"urgent"}"#,
-                "`priority` must be",
+                r#"{"program":"CP","priority":"high"}"#,
+                "unknown field `priority`",
             ),
-            (r#"{"program":"CP","client":""}"#, "`client` must be"),
+            (
+                r#"{"program":"CP","client":"ci-bot"}"#,
+                "unknown field `client`",
+            ),
         ] {
             let err = JobSpec::from_json(&parse(body).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
@@ -1033,11 +957,7 @@ mod tests {
     fn cache_key_ignores_observational_fields_only() {
         let base = JobSpec::from_json(&parse(r#"{"program":"CP","seed":9}"#).unwrap()).unwrap();
         let dressed = JobSpec::from_json(
-            &parse(
-                r#"{"program":"CP","seed":9,"trace":"ht-1",
-                    "priority":"low","client":"alice","cache":true}"#,
-            )
-            .unwrap(),
+            &parse(r#"{"program":"CP","seed":9,"trace":"ht-1","cache":true}"#).unwrap(),
         )
         .unwrap();
         assert_eq!(

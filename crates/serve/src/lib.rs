@@ -6,16 +6,16 @@
 //!
 //! * `POST /v1/campaigns` — submit a named benchmark or ad-hoc KIR kernel
 //!   text plus campaign knobs; returns a job id, or 429 + `Retry-After`
-//!   when the bounded queue is full (backpressure instead of collapse).
+//!   when the bounded FIFO queue is full (backpressure instead of collapse).
 //! * `GET /v1/campaigns/:id` — cheap status/progress counters.
 //! * `GET /v1/campaigns/:id/events` — live chunked JSONL stream of the
 //!   campaign's telemetry events.
 //! * `GET /v1/campaigns/:id/result` — the final summary document, exactly
 //!   the bytes `ShardedCampaignResult::summary_json()` produced (the e2e
 //!   test asserts byte-equality against an in-process run).
-//! * `DELETE /v1/campaigns/:id` — cooperative cancellation: queued jobs are
-//!   dropped, running jobs stop at their next work-unit boundary, and the
-//!   journal keeps what already ran.
+//! * `DELETE /v1/campaigns/:id` — cooperative cancellation: queued jobs
+//!   leave the queue, running jobs stop at their next work-unit boundary,
+//!   and the journal keeps what already ran.
 //! * `GET /metrics`, `GET /healthz` — operational surface.
 //!
 //! One daemon runs on one machine. To split a campaign across machines,
@@ -33,5 +33,5 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 
-pub use jobs::{Job, JobPhase, JobSpec, Priority, ProgramSpec};
+pub use jobs::{Job, JobPhase, JobSpec, ProgramSpec};
 pub use server::{Server, ServerConfig, ServerHandle};

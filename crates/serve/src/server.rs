@@ -2,11 +2,12 @@
 //!
 //! The flow is `TcpListener → per-connection thread (capped) → route →
 //! bounded queue → worker pool → swifi orchestrator → journal/result files`.
-//! Every stage is bounded: connections beyond [`ServerConfig::max_connections`]
-//! get 503, submissions beyond [`ServerConfig::queue_capacity`] get 429 with
+//! Every stage is bounded: connections beyond `MAX_CONNECTIONS` get 503,
+//! submissions beyond [`ServerConfig::queue_capacity`] get 429 with
 //! `Retry-After`, bodies beyond [`ServerConfig::max_body_bytes`] get 413
 //! before being read, and a worker that panics inside a campaign marks the
-//! job failed and keeps serving.
+//! job failed and keeps serving. The queue is one FIFO: jobs start in
+//! submission order.
 //!
 //! With a state directory configured, every accepted job persists its spec,
 //! its orchestrator journal, and (on completion) the exact result bytes, so
@@ -26,34 +27,34 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Daemon configuration.
+/// Concurrent connection threads; beyond this, 503.
+const MAX_CONNECTIONS: usize = 64;
+/// Per-connection socket write timeout (stuck-client bound).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// `Retry-After` seconds advertised on a 429 from the full queue.
+pub const RETRY_AFTER_SECS: u64 = 2;
+
+/// Daemon configuration: what an operator sizes per host. The connection
+/// cap (64), the write timeout (30 s) and the 429 `Retry-After`
+/// ([`RETRY_AFTER_SECS`]) are fixed.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
     /// Campaign worker threads.
     pub workers: usize,
-    /// Jobs admitted beyond the running ones; the backpressure bound.
+    /// Jobs waiting in the FIFO queue beyond the running ones; the
+    /// backpressure bound (a canceled queued job frees its slot at once).
     pub queue_capacity: usize,
     /// Request body cap (shared by the HTTP layer and the JSON parser).
     pub max_body_bytes: usize,
     /// Per-connection socket read timeout (slow-loris bound).
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout (stuck-client bound).
-    pub write_timeout: Duration,
-    /// Concurrent connection threads; beyond this, 503.
-    pub max_connections: usize,
     /// Where specs/journals/results persist. `None` = fully in-memory.
     pub state_dir: Option<PathBuf>,
-    /// `Retry-After` seconds advertised on 429.
-    pub retry_after_secs: u64,
     /// Start with the worker pool paused (tests use this to fill the queue
     /// deterministically); release with [`ServerHandle::resume`].
     pub start_paused: bool,
-    /// Per-client admission cap: at most this many non-terminal jobs per
-    /// `client` value at once (`0` = unlimited). Anonymous submissions
-    /// share one bucket.
-    pub client_quota: usize,
     /// Result-cache entry cap (`0` = uncapped). Beyond it the least
     /// recently *hit* entry is evicted, and its persisted
     /// `<key>.cache.json` is removed from the state directory.
@@ -71,12 +72,8 @@ impl Default for ServerConfig {
             queue_capacity: 16,
             max_body_bytes: 1 << 20,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(30),
-            max_connections: 64,
             state_dir: None,
-            retry_after_secs: 2,
             start_paused: false,
-            client_quota: 0,
             cache_max_entries: 256,
             cache_max_bytes: 16 << 20,
         }
@@ -162,46 +159,12 @@ impl ResultCache {
     }
 }
 
-/// The bounded submission queue: one FIFO lane per [`crate::jobs::Priority`]
-/// level, drained highest lane first. The capacity bound spans all lanes —
-/// priority changes *order*, never admission.
-#[derive(Debug, Default)]
-struct Lanes {
-    lanes: [VecDeque<Arc<Job>>; 3],
-}
-
-impl Lanes {
-    fn len(&self) -> usize {
-        self.lanes.iter().map(VecDeque::len).sum()
-    }
-
-    fn push(&mut self, job: Arc<Job>) {
-        self.lanes[job.spec.priority.lane()].push_back(job);
-    }
-
-    fn pop(&mut self) -> Option<Arc<Job>> {
-        self.lanes.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    fn drain_all(&mut self) -> Vec<Arc<Job>> {
-        self.lanes.iter_mut().flat_map(|l| l.drain(..)).collect()
-    }
-
-    /// Age of the stalest queued job across all lanes (the queue-age gauge).
-    fn oldest_age_secs(&self) -> f64 {
-        self.lanes
-            .iter()
-            .filter_map(|l| l.front())
-            .map(|j| j.queued_for().as_secs_f64())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Shared daemon state.
 struct Inner {
     cfg: ServerConfig,
     jobs: Mutex<BTreeMap<String, Arc<Job>>>,
-    queue: Mutex<Lanes>,
+    /// The bounded submission queue, drained in FIFO order.
+    queue: Mutex<VecDeque<Arc<Job>>>,
     /// Wakes workers on enqueue, pause-release, and shutdown.
     work: Condvar,
     shutdown: AtomicBool,
@@ -279,12 +242,12 @@ impl Inner {
     }
 
     fn enqueue(&self, job: Arc<Job>) {
-        lock_recover(&self.queue).push(job);
+        lock_recover(&self.queue).push_back(job);
         self.work.notify_all();
     }
 
     /// Worker loop: pop → run → record, until shutdown drains the queue.
-    /// A job canceled while still queued is skipped here, not executed.
+    /// A job canceled while queued has already left the queue.
     fn worker_loop(&self) {
         loop {
             let job = {
@@ -294,7 +257,7 @@ impl Inner {
                         return;
                     }
                     if !self.paused.load(Ordering::SeqCst) {
-                        if let Some(job) = q.pop() {
+                        if let Some(job) = q.pop_front() {
                             break job;
                         }
                     }
@@ -305,9 +268,6 @@ impl Inner {
                     q = g;
                 }
             };
-            if job.phase().terminal() {
-                continue; // canceled while queued
-            }
             self.busy.fetch_add(1, Ordering::SeqCst);
             self.run_job(&job);
             self.busy.fetch_sub(1, Ordering::SeqCst);
@@ -440,7 +400,7 @@ impl Inner {
         // Jobs still queued will not run in this process lifetime; their
         // specs are on disk (when persistence is on), so a restart re-queues
         // them. Mark them so clients polling status see a truthful state.
-        let canceled: Vec<Arc<Job>> = lock_recover(&self.queue).drain_all();
+        let canceled: Vec<Arc<Job>> = lock_recover(&self.queue).drain(..).collect();
         for job in canceled {
             job.cancel();
         }
@@ -456,7 +416,7 @@ impl Server {
             paused: AtomicBool::new(cfg.start_paused),
             cfg,
             jobs: Mutex::new(BTreeMap::new()),
-            queue: Mutex::new(Lanes::default()),
+            queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
@@ -526,7 +486,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                if inner.conns.load(Ordering::SeqCst) >= inner.cfg.max_connections {
+                if inner.conns.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     inner.metrics.incr("http_rejected_overload", 1);
                     let mut s = stream;
                     let _ = http::write_response(
@@ -665,7 +625,7 @@ fn handle_connection(mut stream: TcpStream, inner: &Arc<Inner>) {
     let t_req = Instant::now();
     let trace = inner.fresh_trace();
     let _ = stream.set_read_timeout(Some(inner.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(inner.cfg.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let limits = Limits {
         max_body_bytes: inner.cfg.max_body_bytes,
         ..Limits::default()
@@ -858,39 +818,6 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
         inner.metrics.incr("cache_misses", 1);
     }
 
-    // Per-client quota: bound how much of the daemon one identity can hold
-    // at once (non-terminal jobs; anonymous submissions share a bucket).
-    if inner.cfg.client_quota > 0 {
-        let bucket = spec.client.clone().unwrap_or_default();
-        let held = lock_recover(&inner.jobs)
-            .values()
-            .filter(|j| {
-                j.spec.client.clone().unwrap_or_default() == bucket && !j.phase().terminal()
-            })
-            .count();
-        if held >= inner.cfg.client_quota {
-            inner.metrics.incr("submit_quota_rejected", 1);
-            let doc = Json::obj([(
-                "error",
-                Json::str(format!(
-                    "client quota reached ({} active jobs); retry later",
-                    inner.cfg.client_quota
-                )),
-            )]);
-            let _ = http::write_response(
-                stream,
-                429,
-                "application/json",
-                &[
-                    ("Retry-After", inner.cfg.retry_after_secs.to_string()),
-                    trace_header(trace),
-                ],
-                doc.to_string().as_bytes(),
-            );
-            return;
-        }
-    }
-
     // Admission control under the queue lock so capacity is exact: two
     // racing submissions cannot both squeeze into the last slot.
     let job = {
@@ -898,20 +825,22 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
         if q.len() >= inner.cfg.queue_capacity {
             inner.metrics.incr("submit_backpressured", 1);
             drop(q);
-            let retry = inner.cfg.retry_after_secs.to_string();
             let doc = Json::obj([("error", Json::str("job queue is full; retry later"))]);
             let _ = http::write_response(
                 stream,
                 429,
                 "application/json",
-                &[("Retry-After", retry), trace_header(trace)],
+                &[
+                    ("Retry-After", RETRY_AFTER_SECS.to_string()),
+                    trace_header(trace),
+                ],
                 doc.to_string().as_bytes(),
             );
             return;
         }
         let id = format!("cj-{}", inner.next_id.fetch_add(1, Ordering::SeqCst));
         let job = Job::new(id, spec);
-        q.push(job.clone());
+        q.push_back(job.clone());
         job
     };
     inner.work.notify_all();
@@ -936,8 +865,10 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, trac
 /// `GET /v1/campaigns/:id[?watch=<state>&timeout_ms=<n>]`: status counters,
 /// optionally long-polling — with `watch`, the response is deferred until
 /// the phase differs from the given label or the timeout (default 10 s,
-/// capped at 30 s) elapses. Status is always `Cache-Control: no-store`: a
-/// cached "running" is a wrong "running".
+/// capped at 30 s) elapses. An unknown `watch` label or a `timeout_ms` that
+/// is not a non-negative integer is a 400, never a silent default wait.
+/// Status is always `Cache-Control: no-store`: a cached "running" is a
+/// wrong "running".
 fn handle_status(
     stream: &mut TcpStream,
     req: &Request,
@@ -954,11 +885,18 @@ fn handle_status(
                 trace,
             );
         };
-        let timeout_ms = req
-            .query_param("timeout_ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(10_000)
-            .min(30_000);
+        let timeout_ms = match req.query_param("timeout_ms").map(str::parse::<u64>) {
+            None => 10_000,
+            Some(Ok(ms)) => ms.min(30_000),
+            Some(Err(_)) => {
+                return error_json(
+                    stream,
+                    400,
+                    "`timeout_ms` must be a non-negative integer (milliseconds)",
+                    trace,
+                )
+            }
+        };
         inner.metrics.incr("status_longpolls", 1);
         job.wait_phase_change(seen, Duration::from_millis(timeout_ms));
     }
@@ -975,18 +913,25 @@ fn handle_status(
 }
 
 /// `DELETE /v1/campaigns/:id`: cooperative cancellation. A queued job is
-/// canceled immediately; a running one gets its stop flag set and stops at
-/// the next work-unit boundary (202 — the cancel is underway, poll status).
-/// Terminal jobs answer 200 with their (unchanged) state. Responses carry
+/// canceled immediately and leaves the queue, freeing its slot for the next
+/// submission; a running one gets its stop flag set and stops at the next
+/// work-unit boundary (202 — the cancel is underway, poll status). Terminal
+/// jobs answer 200 with their (unchanged) state. Responses carry
 /// `Cache-Control: no-store` — cancellation state must never be stale.
 fn handle_cancel(stream: &mut TcpStream, job: &Arc<Job>, inner: &Arc<Inner>, trace: &str) {
-    let phase = job.phase();
-    let status = if phase.terminal() {
+    let status = if job.phase().terminal() {
         200
     } else {
         job.request_stop();
-        if phase == JobPhase::Queued {
-            // Cancel in place; the worker pop skips terminal jobs.
+        // Still queued: take it out under the queue lock, so admission stops
+        // counting it. A worker that already popped it honors the stop flag
+        // in `run_job` instead.
+        let dequeued = {
+            let mut q = lock_recover(&inner.queue);
+            let at = q.iter().position(|j| Arc::ptr_eq(j, job));
+            at.and_then(|i| q.remove(i)).is_some()
+        };
+        if dequeued {
             job.cancel();
         }
         inner.metrics.incr("jobs_cancel_requested", 1);
@@ -1084,7 +1029,7 @@ fn handle_metrics(stream: &mut TcpStream, req: &Request, inner: &Arc<Inner>, tra
     {
         let q = lock_recover(&inner.queue);
         queue_depth = q.len() as u64;
-        queue_age_secs = q.oldest_age_secs();
+        queue_age_secs = q.front().map_or(0.0, |j| j.queued_for().as_secs_f64());
     }
     let (cache_entries, cache_bytes) = {
         let c = lock_recover(&inner.cache);

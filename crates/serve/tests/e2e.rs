@@ -5,12 +5,14 @@
 //! are exactly what an external tool would send. Covered here: result
 //! byte-identity against an in-process run, hand sharding across two
 //! daemons merged byte-identically, the result cache, cancellation with
-//! `Cache-Control: no-store`, status long-polling, priority lanes, client
-//! quotas, deterministic 429 backpressure, 400/413/timeout hostile-input
-//! handling, a genuinely panicking job, state-directory recovery across
-//! restarts, and the `serve` binary refusing unknown flags.
+//! `Cache-Control: no-store`, status long-polling, FIFO start order,
+//! deterministic 429 backpressure (and the slot a canceled queued job
+//! frees), 400/413/timeout hostile-input handling, a genuinely panicking
+//! job, state-directory recovery across restarts, and the `serve` binary
+//! refusing unknown flags.
 
 use hauberk_serve::jobs::JobSpec;
+use hauberk_serve::server::RETRY_AFTER_SECS;
 use hauberk_serve::{Server, ServerConfig, ServerHandle};
 use hauberk_swifi::journal::merge_journals;
 use hauberk_swifi::orchestrator::run_orchestrated_campaign;
@@ -448,7 +450,6 @@ fn queue_overflow_returns_deterministic_429_with_retry_after() {
         workers: 1,
         queue_capacity: 2,
         start_paused: true, // nothing drains until we say so
-        retry_after_secs: 7,
         ..ServerConfig::default()
     });
 
@@ -459,7 +460,10 @@ fn queue_overflow_returns_deterministic_429_with_retry_after() {
     for _ in 0..3 {
         let r = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
         assert_eq!(r.status, 429, "{}", r.body);
-        assert_eq!(r.header("retry-after"), Some("7"));
+        assert_eq!(
+            r.header("retry-after"),
+            Some(RETRY_AFTER_SECS.to_string().as_str())
+        );
         assert!(r.body.contains("queue is full"), "{}", r.body);
     }
     // Rejected submissions consume no ids and leave no ghost jobs.
@@ -470,10 +474,18 @@ fn queue_overflow_returns_deterministic_429_with_retry_after() {
         metrics.body
     );
 
+    // Still paused: a DELETEd queued job leaves the queue, so its slot is
+    // free for the next submission at once.
+    let del = delete(addr, &format!("/v1/campaigns/{}", b.json_field("id")));
+    assert_eq!(del.status, 202, "{}", del.body);
+    assert_eq!(del.json_field("state"), "canceled");
+    let b2 = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    assert_eq!(b2.status, 201, "a canceled job holds no slot: {}", b2.body);
+
     // Released, the queue drains and capacity frees up again.
     handle.resume();
     assert_eq!(wait_terminal(addr, &a.json_field("id")), "done");
-    assert_eq!(wait_terminal(addr, &b.json_field("id")), "done");
+    assert_eq!(wait_terminal(addr, &b2.json_field("id")), "done");
     let c = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
     assert_eq!(c.status, 201, "{}", c.body);
     assert_eq!(wait_terminal(addr, &c.json_field("id")), "done");
@@ -704,7 +716,7 @@ fn cache_answers_identical_resubmits_without_rerun() {
 
     // A spec differing only in observational fields still hits.
     let dressed = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"cache":true,
-                      "priority":"low","client":"alice"}"#;
+                      "trace":"ht-pinned-cache"}"#;
     let hit2 = post(addr, "/v1/campaigns", dressed);
     assert_eq!(hit2.status, 201, "{}", hit2.body);
     assert!(hit2.body.contains("\"cached\":true"), "{}", hit2.body);
@@ -776,6 +788,21 @@ fn status_long_poll_defers_until_phase_change() {
         t0.elapsed()
     );
 
+    // While the job is still queued, a bad watch label or an unparseable
+    // timeout is a structured 400, answered at once rather than after the
+    // default 10 s wait.
+    let bad = get(addr, &format!("/v1/campaigns/{id}?watch=sideways"));
+    assert_eq!(bad.status, 400, "{}", bad.body);
+    assert!(bad.body.contains("`watch` must be"), "{}", bad.body);
+    let t2 = Instant::now();
+    let bad = get(
+        addr,
+        &format!("/v1/campaigns/{id}?watch=queued&timeout_ms=abc"),
+    );
+    assert_eq!(bad.status, 400, "{}", bad.body);
+    assert!(bad.body.contains("`timeout_ms` must be"), "{}", bad.body);
+    assert!(t2.elapsed() < Duration::from_secs(5), "{:?}", t2.elapsed());
+
     // Phase changes mid-poll: the response arrives without the full wait.
     let t1 = Instant::now();
     let poller = std::thread::spawn({
@@ -792,73 +819,43 @@ fn status_long_poll_defers_until_phase_change() {
         "woke before timeout"
     );
 
-    // A bad watch label is a structured 400.
-    let bad = get(addr, &format!("/v1/campaigns/{id}?watch=sideways"));
-    assert_eq!(bad.status, 400, "{}", bad.body);
-
     let _ = wait_terminal(addr, &id);
     handle.shutdown();
 }
 
 #[test]
-fn high_priority_lane_overtakes_queued_batch_jobs() {
+fn queued_jobs_start_in_submission_order() {
     let (handle, addr) = spawn(ServerConfig {
         start_paused: true,
         workers: 1,
         ..ServerConfig::default()
     });
 
-    // Three batch jobs enqueued first, then one interactive job.
-    let low = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"priority":"low","seed":1}"#;
-    let low_id = post(addr, "/v1/campaigns", low).json_field("id");
-    for seed in 2..4 {
-        let body = low.replace("\"seed\":1", &format!("\"seed\":{seed}"));
-        assert_eq!(post(addr, "/v1/campaigns", &body).status, 201);
-    }
-    let high = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"priority":"high"}"#;
-    let high_id = post(addr, "/v1/campaigns", high).json_field("id");
+    let a = post(addr, "/v1/campaigns", SMALL_CAMPAIGN);
+    assert_eq!(a.status, 201, "{}", a.body);
+    let b = post(
+        addr,
+        "/v1/campaigns",
+        &SMALL_CAMPAIGN.replace("}", r#","seed":2}"#),
+    );
+    assert_eq!(b.status, 201, "{}", b.body);
+    let (a_id, b_id) = (a.json_field("id"), b.json_field("id"));
 
     handle.resume();
-    // The first job to leave "queued" must be the high-priority one, even
-    // though it was submitted last.
+    // One worker, one FIFO queue: A leaves "queued" while B still waits.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let high_state = get(addr, &format!("/v1/campaigns/{high_id}")).json_field("state");
-        let low_state = get(addr, &format!("/v1/campaigns/{low_id}")).json_field("state");
-        if high_state != "queued" {
-            assert_eq!(
-                low_state, "queued",
-                "high lane must drain before the first low job starts"
-            );
+        let b_state = get(addr, &format!("/v1/campaigns/{b_id}")).json_field("state");
+        let a_state = get(addr, &format!("/v1/campaigns/{a_id}")).json_field("state");
+        assert_eq!(b_state, "queued", "B started before A left the queue");
+        if a_state != "queued" {
             break;
         }
-        assert_eq!(low_state, "queued", "low job overtook the high lane");
         assert!(Instant::now() < deadline, "nothing ever started");
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(wait_terminal(addr, &high_id), "done");
-    handle.shutdown();
-}
-
-#[test]
-fn client_quota_bounds_admissions_per_identity() {
-    let (handle, addr) = spawn(ServerConfig {
-        start_paused: true,
-        client_quota: 1,
-        ..ServerConfig::default()
-    });
-    let alice = r#"{"program":"CP","vars":6,"masks":8,"bit_counts":[1],"client":"alice"}"#;
-    assert_eq!(post(addr, "/v1/campaigns", alice).status, 201);
-    let over = post(addr, "/v1/campaigns", alice);
-    assert_eq!(over.status, 429, "{}", over.body);
-    assert!(over.header("retry-after").is_some(), "{:?}", over.headers);
-    assert!(over.body.contains("client quota"), "{}", over.body);
-
-    // A different identity (and the anonymous bucket) are unaffected.
-    let bob = alice.replace("alice", "bob");
-    assert_eq!(post(addr, "/v1/campaigns", &bob).status, 201);
-    assert_eq!(post(addr, "/v1/campaigns", SMALL_CAMPAIGN).status, 201);
-
+    assert_eq!(wait_terminal(addr, &a_id), "done");
+    assert_eq!(wait_terminal(addr, &b_id), "done");
     handle.shutdown();
 }
 
@@ -870,6 +867,7 @@ fn serve_binary_refuses_unknown_flags_and_missing_values() {
     for args in [
         &["--addr", "127.0.0.1:0", "--peer", "127.0.0.1:7071"][..],
         &["--addr", "127.0.0.1:0", "--workers"][..],
+        &["--addr", "127.0.0.1:0", "--client-quota", "1"][..],
     ] {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(args)

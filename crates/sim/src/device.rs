@@ -12,7 +12,7 @@ use crate::stats::ExecStats;
 use hauberk_kir::validate::validate_kernel;
 use hauberk_kir::{KernelDef, MemSpace, PrimTy, PtrVal, Value};
 use hauberk_telemetry::span::SpanGuard;
-use hauberk_telemetry::{next_launch_id, Event, Telemetry};
+use hauberk_telemetry::{next_launch_id, Telemetry};
 use std::time::Instant;
 
 /// Launch geometry and budget.
@@ -145,28 +145,20 @@ impl Device {
     ) -> LaunchOutcome {
         let tele = self.telemetry.clone();
         let launch_id = if tele.enabled() { next_launch_id() } else { 0 };
-        tele.emit_with(|| Event::KernelLaunch {
-            launch_id,
-            kernel: kernel.name.clone(),
-            blocks: launch.grid.0 as u64 * launch.grid.1 as u64,
-            threads: launch.total_threads(),
-        });
         let mut span = self.launch_span(&tele, kernel, launch_id);
         let out = self.launch_inner(kernel, args, launch, runtime, &mut span);
         span.attr("outcome", out.label());
-        drop(span);
-        tele.emit_with(|| Event::KernelExit {
-            launch_id,
-            kernel: kernel.name.clone(),
-            outcome: out.label(),
-            snapshot: out.stats().into(),
-        });
+        span.attr_with("kernel_cycles", || out.stats().kernel_cycles.to_string());
+        span.attr_with("work_cycles", || out.stats().work_cycles.to_string());
         out
     }
 
-    /// Open the `launch` span. It nests under whatever the caller has open
-    /// (a campaign work unit, typically) and records engine-tier timing:
-    /// which backend ran, prepare vs. warp-execution nanoseconds.
+    /// Open the `launch` span, the one trace record of a kernel launch. It
+    /// nests under whatever the caller has open (a campaign work unit,
+    /// typically) and records engine-tier timing: which backend ran,
+    /// prepare vs. warp-execution nanoseconds. At close it also carries the
+    /// launch's `outcome` and modeled cost: `kernel_cycles` (the launch's
+    /// modeled wall clock) and `work_cycles` (the work cycles it executed).
     fn launch_span(&self, tele: &Telemetry, kernel: &KernelDef, launch_id: u64) -> SpanGuard {
         let mut span = tele.span("launch");
         span.attr_with("kernel", || kernel.name.clone());
@@ -478,8 +470,13 @@ impl Device {
             &mut span,
         );
         let (outcome, spliced) = match &run {
-            Spliced::Ran(out) => (out.label(), "false"),
+            Spliced::Ran(out) => {
+                span.attr_with("kernel_cycles", || out.stats().kernel_cycles.to_string());
+                (out.label(), "false")
+            }
             // Only a completed reference has fence fingerprints to match.
+            // A spliced launch takes its outcome (and modeled
+            // `kernel_cycles`) from that reference.
             Spliced::Reconverged { .. } => ("completed", "true"),
         };
         span.attr("outcome", outcome);
@@ -489,8 +486,8 @@ impl Device {
 
     /// The body of [`Device::resume_spliced`] under its open `launch` span:
     /// besides the attributes [`Device::launch`] records, it times the
-    /// snapshot restore (`restore_ns`), and `warps` counts only the warps
-    /// this resumed launch executed.
+    /// snapshot restore (`restore_ns`), and `warps` and `work_cycles` count
+    /// only what this resumed launch executed.
     #[allow(clippy::too_many_arguments)]
     fn resume_inner(
         &mut self,
@@ -555,6 +552,9 @@ impl Device {
         if timed {
             span.attr_with("exec_ns", || exec_ns.to_string());
             span.attr_with("warps", || (st.stats.warps - snap.stats.warps).to_string());
+            span.attr_with("work_cycles", || {
+                (st.stats.work_cycles - snap.stats.work_cycles).to_string()
+            });
         }
         if reconverged {
             return Spliced::Reconverged {
@@ -704,6 +704,38 @@ mod tests {
         let s = out.stats();
         assert_eq!(s.blocks, 4);
         assert!(s.kernel_cycles > 0 && s.kernel_cycles <= s.work_cycles);
+    }
+
+    #[test]
+    fn launch_span_is_the_one_record_of_a_launch() {
+        let sink = std::sync::Arc::new(hauberk_telemetry::MemorySink::unbounded());
+        let mut dev = Device::small_gpu().with_telemetry(Telemetry::new(sink.clone()));
+        let n = 64u32;
+        let y = dev.alloc(PrimTy::F32, n);
+        let x = dev.alloc(PrimTy::F32, n);
+        let args = [
+            Value::Ptr(y),
+            Value::Ptr(x),
+            Value::F32(2.0),
+            Value::I32(n as i32),
+        ];
+        let out = dev.launch(
+            &saxpy_kernel(),
+            &args,
+            &Launch::grid1d(2, 32),
+            &mut NullRuntime,
+        );
+        let events = sink.events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        let hauberk_telemetry::Event::Span { name, attrs, .. } = &events[0] else {
+            panic!("not a span: {events:?}");
+        };
+        assert_eq!(*name, "launch");
+        let attr = |k: &str| attrs.iter().find(|(a, _)| *a == k).map(|(_, v)| v.clone());
+        let s = out.stats();
+        assert_eq!(attr("outcome").as_deref(), Some("completed"));
+        assert_eq!(attr("kernel_cycles"), Some(s.kernel_cycles.to_string()));
+        assert_eq!(attr("work_cycles"), Some(s.work_cycles.to_string()));
     }
 
     #[test]

@@ -113,23 +113,6 @@ impl ExecStats {
     }
 }
 
-impl From<&ExecStats> for hauberk_telemetry::ExecSnapshot {
-    fn from(s: &ExecStats) -> Self {
-        hauberk_telemetry::ExecSnapshot {
-            kernel_cycles: s.kernel_cycles,
-            work_cycles: s.work_cycles,
-            loop_cycles: s.loop_cycles,
-            ops: s.total_ops(),
-            paired_ops: s.paired_ops,
-            mem_segments: s.mem_segments,
-            blocks: s.blocks,
-            warps: s.warps,
-            syncs: s.syncs,
-            hooks: s.hooks,
-        }
-    }
-}
-
 impl AddAssign<&ExecStats> for ExecStats {
     fn add_assign(&mut self, rhs: &ExecStats) {
         self.kernel_cycles += rhs.kernel_cycles;

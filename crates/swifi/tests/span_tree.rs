@@ -182,12 +182,20 @@ fn default_campaign_units_have_launch_children() {
             "restore_ns",
             "exec_ns",
             "warps",
+            "work_cycles",
             "outcome",
         ] {
             assert!(attr(key).is_some(), "launch span lacks `{key}`: {attrs:?}");
         }
         assert!(
             matches!(attr("spliced"), Some("true" | "false")),
+            "{attrs:?}"
+        );
+        // A spliced launch takes its modeled cycles from the reference run;
+        // every other launch records its own.
+        assert_eq!(
+            attr("kernel_cycles").is_some(),
+            attr("spliced") == Some("false"),
             "{attrs:?}"
         );
     }

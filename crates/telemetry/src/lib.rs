@@ -4,9 +4,9 @@
 //! This crate is the lowest layer of the workspace (it depends on nothing
 //! in-tree) and defines:
 //!
-//! * a typed [`Event`] taxonomy covering kernel launch/exit spans,
-//!   fault injection, detector alarms, guardian recovery and
-//!   per-injection campaign outcomes;
+//! * a typed [`Event`] taxonomy covering tracing spans (one `launch`
+//!   span per kernel launch), fault injection, detector alarms, guardian
+//!   recovery and per-injection campaign outcomes;
 //! * the [`TelemetrySink`] trait with three implementations —
 //!   [`NullSink`] (discard; the zero-cost-when-disabled path),
 //!   [`MemorySink`] (in-memory aggregation for tests and in-process
@@ -43,94 +43,10 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A point-in-time copy of the simulator's execution statistics, attached to
-/// kernel-exit events. Mirrors `hauberk_sim::ExecStats` without depending on
-/// the sim crate (telemetry sits below it in the crate graph).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecSnapshot {
-    /// Modeled wall-clock cycles of the launch (max over SMs).
-    pub kernel_cycles: u64,
-    /// Cycles of useful work summed over warps.
-    pub work_cycles: u64,
-    /// Work cycles spent inside loop bodies.
-    pub loop_cycles: u64,
-    /// Total retired operations across all op classes.
-    pub ops: u64,
-    /// Dual-issue paired operations.
-    pub paired_ops: u64,
-    /// Coalesced memory segment transactions.
-    pub mem_segments: u64,
-    /// Thread blocks executed.
-    pub blocks: u64,
-    /// Warps executed.
-    pub warps: u64,
-    /// Barrier synchronizations.
-    pub syncs: u64,
-    /// Instrumentation hooks dispatched.
-    pub hooks: u64,
-}
-
-impl ExecSnapshot {
-    /// Component-wise difference `self - earlier` (saturating), for span
-    /// deltas between two snapshots of an accumulating stats object.
-    pub fn delta(&self, earlier: &ExecSnapshot) -> ExecSnapshot {
-        ExecSnapshot {
-            kernel_cycles: self.kernel_cycles.saturating_sub(earlier.kernel_cycles),
-            work_cycles: self.work_cycles.saturating_sub(earlier.work_cycles),
-            loop_cycles: self.loop_cycles.saturating_sub(earlier.loop_cycles),
-            ops: self.ops.saturating_sub(earlier.ops),
-            paired_ops: self.paired_ops.saturating_sub(earlier.paired_ops),
-            mem_segments: self.mem_segments.saturating_sub(earlier.mem_segments),
-            blocks: self.blocks.saturating_sub(earlier.blocks),
-            warps: self.warps.saturating_sub(earlier.warps),
-            syncs: self.syncs.saturating_sub(earlier.syncs),
-            hooks: self.hooks.saturating_sub(earlier.hooks),
-        }
-    }
-
-    /// JSON form.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kernel_cycles", Json::uint(self.kernel_cycles)),
-            ("work_cycles", Json::uint(self.work_cycles)),
-            ("loop_cycles", Json::uint(self.loop_cycles)),
-            ("ops", Json::uint(self.ops)),
-            ("paired_ops", Json::uint(self.paired_ops)),
-            ("mem_segments", Json::uint(self.mem_segments)),
-            ("blocks", Json::uint(self.blocks)),
-            ("warps", Json::uint(self.warps)),
-            ("syncs", Json::uint(self.syncs)),
-            ("hooks", Json::uint(self.hooks)),
-        ])
-    }
-}
-
 /// One structured telemetry event. Every variant serializes to a flat JSON
 /// object with an `"ev"` discriminator (see [`Event::kind`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A kernel launch began.
-    KernelLaunch {
-        /// Process-unique launch id (pairs launch/exit).
-        launch_id: u64,
-        /// Kernel name.
-        kernel: String,
-        /// Grid size in blocks.
-        blocks: u64,
-        /// Total threads in the grid.
-        threads: u64,
-    },
-    /// A kernel launch finished (completed, crashed, or hung).
-    KernelExit {
-        /// Matches the corresponding [`Event::KernelLaunch`].
-        launch_id: u64,
-        /// Kernel name.
-        kernel: String,
-        /// `"completed"`, `"crash"`, or `"hang"`.
-        outcome: &'static str,
-        /// Final execution statistics of the launch.
-        snapshot: ExecSnapshot,
-    },
     /// An armed SWIFI fault was delivered into architecture state.
     FaultInjected {
         /// Human-readable fault site (`"hook_target(3)"`, ...).
@@ -247,8 +163,6 @@ impl Event {
     /// Stable discriminator used as the JSON `"ev"` field and for counting.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::KernelLaunch { .. } => "kernel_launch",
-            Event::KernelExit { .. } => "kernel_exit",
             Event::FaultInjected { .. } => "fault_injected",
             Event::DetectorFired { .. } => "detector_fired",
             Event::Guardian { .. } => "guardian",
@@ -270,28 +184,6 @@ impl Event {
             obj.insert(k.into(), v);
         };
         match self {
-            Event::KernelLaunch {
-                launch_id,
-                kernel,
-                blocks,
-                threads,
-            } => {
-                put("launch_id", Json::uint(*launch_id));
-                put("kernel", Json::str(kernel.clone()));
-                put("blocks", Json::uint(*blocks));
-                put("threads", Json::uint(*threads));
-            }
-            Event::KernelExit {
-                launch_id,
-                kernel,
-                outcome,
-                snapshot,
-            } => {
-                put("launch_id", Json::uint(*launch_id));
-                put("kernel", Json::str(kernel.clone()));
-                put("outcome", Json::str(*outcome));
-                put("stats", snapshot.to_json());
-            }
             Event::FaultInjected {
                 site,
                 thread,
@@ -671,37 +563,38 @@ mod tests {
         let path = dir.join(format!("trace-{}.jsonl", std::process::id()));
         {
             let sink = JsonlSink::create(&path).unwrap();
-            sink.emit(&Event::KernelLaunch {
-                launch_id: 7,
-                kernel: "spin".into(),
-                blocks: 16,
-                threads: 512,
+            sink.emit(&Event::FaultInjected {
+                site: "hook_target(3)".into(),
+                thread: 17,
+                mask: 0x10,
+                cycle: 42,
             });
-            sink.emit(&Event::KernelExit {
-                launch_id: 7,
-                kernel: "spin".into(),
-                outcome: "completed",
-                snapshot: ExecSnapshot {
-                    kernel_cycles: 100,
-                    work_cycles: 90,
-                    ..Default::default()
-                },
+            sink.emit(&Event::Span {
+                name: "launch",
+                id: 7,
+                parent: 3,
+                trace: None,
+                start_us: 5,
+                dur_ns: 1200,
+                attrs: vec![("kernel", "spin".into()), ("kernel_cycles", "100".into())],
             });
             sink.flush();
         }
         let docs = read_jsonl(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(docs.len(), 2);
-        assert_eq!(docs[0].get("ev").unwrap().as_str(), Some("kernel_launch"));
-        assert_eq!(docs[1].get("ev").unwrap().as_str(), Some("kernel_exit"));
+        assert_eq!(docs[0].get("ev").unwrap().as_str(), Some("fault_injected"));
+        assert_eq!(docs[0].get("mask").unwrap().as_u64(), Some(0x10));
+        assert_eq!(docs[1].get("ev").unwrap().as_str(), Some("span"));
+        assert_eq!(docs[1].get("parent").unwrap().as_u64(), Some(3));
         assert_eq!(
             docs[1]
-                .get("stats")
+                .get("attrs")
                 .unwrap()
                 .get("kernel_cycles")
                 .unwrap()
-                .as_u64(),
-            Some(100)
+                .as_str(),
+            Some("100")
         );
     }
 
@@ -751,29 +644,5 @@ mod tests {
         p.tick("ok");
         assert_eq!(p.done(), 1);
         assert_eq!(reg.snapshot().counter("before"), 1);
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let a = ExecSnapshot {
-            kernel_cycles: 10,
-            work_cycles: 8,
-            ops: 100,
-            ..Default::default()
-        };
-        let b = ExecSnapshot {
-            kernel_cycles: 25,
-            work_cycles: 20,
-            ops: 250,
-            blocks: 1,
-            ..Default::default()
-        };
-        let d = b.delta(&a);
-        assert_eq!(d.kernel_cycles, 15);
-        assert_eq!(d.work_cycles, 12);
-        assert_eq!(d.ops, 150);
-        assert_eq!(d.blocks, 1);
-        // Saturates instead of wrapping when mis-ordered.
-        assert_eq!(a.delta(&b).kernel_cycles, 0);
     }
 }
